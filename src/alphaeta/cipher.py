@@ -208,6 +208,9 @@ class KeystreamGen:
         k = m_bases.bit_length() - 1
         if k == 0:
             return np.zeros(count, dtype=np.int64)
-        bits = self.bits(count * k).reshape(count, k).astype(np.int64)
-        weights = 1 << np.arange(k - 1, -1, -1, dtype=np.int64)
-        return bits @ weights
+        bits = self.bits(count * k).reshape(count, k)
+        out = np.zeros(count, dtype=np.int64)
+        for col in range(k):  # column by column: no count*k int64 copy
+            out <<= 1
+            out |= bits[:, col]
+        return out

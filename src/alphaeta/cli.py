@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import struct
 import sys
 
@@ -143,15 +144,19 @@ def cmd_keyrate(args) -> int:
         raise UsageError("give either --s or both --p-bob and --p-eve, not both")
     if args.s is None and not (args.p_bob is not None and args.p_eve is not None):
         raise UsageError("give either --s or both --p-bob and --p-eve")
-    try:
-        if args.s is not None:
-            p_bob = helstrom_pure_antipodal(args.s).exact
-            p_eve = eve_exact_ber(args.s, args.eve)
-        else:
-            p_bob, p_eve = args.p_bob, args.p_eve
-        report = key_rate(p_bob, p_eve, args.line_rate)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.s is not None and not (math.isfinite(args.s) and args.s >= 0):
+        raise UsageError("--s must be finite and >= 0")
+    for name, p in (("--p-bob", args.p_bob), ("--p-eve", args.p_eve)):
+        if p is not None and not 0.0 <= p <= 1.0:
+            raise UsageError(f"{name} must lie in [0, 1]")
+    if not args.line_rate > 0:
+        raise UsageError("--line-rate must be positive")
+    if args.s is not None:
+        p_bob = helstrom_pure_antipodal(args.s).exact
+        p_eve = eve_exact_ber(args.s, args.eve)
+    else:
+        p_bob, p_eve = args.p_bob, args.p_eve
+    report = key_rate(p_bob, p_eve, args.line_rate)
     doc = report.to_dict()
     doc["eve_strategy"] = args.eve
     doc["s"] = args.s
@@ -314,7 +319,17 @@ def _apply_config_file(argv: list[str], subparsers) -> None:
             if dest not in known or dest in ("func", "config", "help"):
                 raise UsageError(f"config line {lineno}: unknown key {key.strip()!r}")
             action = known[dest]
-            defaults[dest] = action.type(value.strip()) if action.type else value.strip()
+            value = value.strip()
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except ValueError:
+                    raise UsageError(f"config line {lineno}: invalid {key.strip()} "
+                                     f"value {value!r}") from None
+            if action.choices is not None and value not in action.choices:
+                raise UsageError(f"config line {lineno}: {key.strip()} must be one of "
+                                 f"{', '.join(map(str, action.choices))}, got {value!r}")
+            defaults[dest] = value
             action.required = False  # a config value satisfies a required flag
     sp.set_defaults(**defaults)
 

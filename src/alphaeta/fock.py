@@ -94,7 +94,8 @@ def coherent_amplitudes(mean_photons: float, phase: float = 0.0,
     """Amplitudes c_n = e^{-S/2} S^{n/2} e^{i n phase} / sqrt(n!) up to n_trunc.
 
     Evaluated by the stable recursion c_{n+1} = c_n * sqrt(S) e^{i phase} / sqrt(n+1).
-    Raises TruncationError if the cutoff leaves more than 1e-12 of the norm behind.
+    Raises TruncationError if the cutoff leaves more than 1e-12 of the norm behind,
+    or if e^{-S/2} underflows (S above about 1430) and the norm is off by 1e-12.
     """
     if not math.isfinite(mean_photons) or mean_photons < 0:
         raise ValueError(f"mean photon number must be finite and >= 0, got {mean_photons}")
@@ -110,6 +111,13 @@ def coherent_amplitudes(mean_photons: float, phase: float = 0.0,
         coeffs[n + 1] = coeffs[n] * step / math.sqrt(n + 1)
 
     residual = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
+    if abs(residual) >= TRUNCATION_TOL and coeffs[0].real < np.finfo(float).tiny:
+        # a subnormal e^{-S/2} scales every amplitude by its rounding error,
+        # so the norm can land on either side of 1
+        raise TruncationError(
+            f"S={mean_photons:g} is beyond the Fock path's range: amplitude underflow "
+            f"(e^(-S/2) = {coeffs[0].real:.3g} is below the smallest normal double, "
+            f"norm residual {residual:.3e})")
     if residual >= TRUNCATION_TOL:
         raise TruncationError(
             f"n_trunc={n_trunc} leaves norm residual {residual:.3e} "

@@ -87,6 +87,13 @@ class TestEveNokey:
         code, _ = run_cli("eve-nokey", "--s", "7", "--m-list", "3")
         assert code in (1, 2)
 
+    def test_beyond_fock_range(self):
+        code, out = run_cli("eve-nokey", "--s", "2000", "--m-list", "1,64")
+        assert code == 0
+        _, rows = parse_csv(out)
+        assert [r[0] for r in rows] == ["1", "64"]
+        assert all(0.0 <= float(r[1]) <= 0.5 for r in rows)
+
 
 class TestSimulate:
     def test_deterministic_byte_identical(self):
@@ -146,6 +153,22 @@ class TestKeyrate:
         assert code == 2
         code, _ = run_cli("keyrate", "--p-bob", "0.1")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["--s", "-1"],
+        ["--s", "nan"],
+        ["--p-bob", "1.5", "--p-eve", "0.1"],
+        ["--p-bob", "0.1", "--p-eve", "-0.2"],
+        ["--s", "7", "--line-rate", "0"],
+    ])
+    def test_invalid_input_is_usage_error(self, argv):
+        assert run_cli("keyrate", *argv)[0] == 2
+
+    def test_numeric_failure_is_computation_error(self, capsys):
+        # the phase-deferred BER needs the Fock path, whose amplitudes underflow at S=2000
+        code, _ = run_cli("keyrate", "--s", "2000", "--eve", "phase-deferred")
+        assert code == 1
+        assert "amplitude underflow" in capsys.readouterr().err
 
 
 class TestEncryptDecrypt:
@@ -217,6 +240,16 @@ class TestConfigFile:
         cfg.write_text("s=2\ntrials=5000\n")
         _, out = run_cli("simulate", "--config", str(cfg), "--trials", "7000")
         assert json.loads(out)["config"]["trials"] == 7000
+
+    @pytest.mark.parametrize("line", ["format=xml", "s=abc"])
+    def test_bad_value_rejected_like_a_flag(self, tmp_path, capsys, line):
+        cfg = tmp_path / "nokey.cfg"
+        cfg.write_text(f"s=7\nm-list=1\n{line}\n")
+        code, out = run_cli("eve-nokey", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: config line 3:") and err.count("\n") == 1
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "sim.cfg"

@@ -52,6 +52,13 @@ class TestCoherentAmplitudes:
         with pytest.raises(TruncationError, match="residual"):
             coherent_amplitudes(10.0, 0.0, 4)
 
+    @pytest.mark.parametrize("s", [1490.0, 2000.0])
+    def test_amplitude_underflow_is_named(self, s):
+        # at S=1490 e^{-S/2} rounds up to the smallest subnormal (norm > 1);
+        # at S=2000 it is 0
+        with pytest.raises(TruncationError, match="amplitude underflow"):
+            coherent_amplitudes(s)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             coherent_amplitudes(-1.0)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from alphaeta.cipher import Constellation
+from alphaeta.fock import coherent_amplitudes, hermitian_eigenvalues, mix, pure_density
 from alphaeta.receivers import (
     ReceiverModel,
     canonical_phase_antipodal,
@@ -138,6 +139,34 @@ class TestEveNokey:
         alt = eve_nokey_helstrom(s, Constellation(m, "alternating"))
         plain = eve_nokey_helstrom(s, Constellation(m, "plain"))
         assert alt >= plain - 1e-12
+
+    @pytest.mark.parametrize("mapping", ["alternating", "plain"])
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0, 7.0, 30.0])
+    def test_matches_fock_mixture_oracle(self, s, mapping):
+        for m in [1, 2, 4, 8, 16, 32, 64]:
+            const = Constellation(m, mapping)
+            by_bit = {0: [], 1: []}
+            for j in range(const.num_points):
+                rho = pure_density(coherent_amplitudes(s, const.point_phase(j)))
+                by_bit[const.point_bit(j)].append((1.0 / m, rho))
+            diff = mix(by_bit[0]).entries - mix(by_bit[1]).entries
+            oracle = 0.5 - 0.25 * float(np.sum(np.abs(hermitian_eigenvalues(diff))))
+            assert eve_nokey_helstrom(s, const) == pytest.approx(oracle, abs=1e-12)
+
+    @pytest.mark.parametrize("s", [0.5, 7.0, 100.0, 1e3, 1e4])
+    def test_m1_equals_helstrom_closed_form(self, s):
+        p = eve_nokey_helstrom(s, Constellation(1))
+        assert p == pytest.approx(helstrom_pure_antipodal(s).exact, abs=1e-12)
+
+    def test_large_s_beyond_fock_range(self):
+        # S=1e4 underflows e^{-S/2}; the Gram spectrum needs no Fock cutoff
+        p64, p256 = (eve_nokey_helstrom(1e4, Constellation(m)) for m in (64, 256))
+        assert 0.0 <= p64 <= p256 <= 0.5
+
+    @pytest.mark.parametrize("s", [-1.0, math.inf, math.nan])
+    def test_rejects_bad_signal(self, s):
+        with pytest.raises(ValueError):
+            eve_nokey_helstrom(s, Constellation(4))
 
 
 class TestExponentFit:
