@@ -24,14 +24,14 @@ from .montecarlo import (
     run_simulation,
     sample_heterodyne,
     sample_homodyne,
-    sample_phase,
     wilson_interval,
 )
 from .receivers import (
+    BER_LAWS,
+    EVE_STRATEGIES,
     BerLaw,
     ReceiverModel,
     canonical_phase_antipodal,
-    eve_deferred_key_ber,
     eve_nokey_helstrom,
     exponent_fit,
     helstrom_pure_antipodal,

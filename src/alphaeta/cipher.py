@@ -44,33 +44,38 @@ class Constellation:
     def num_points(self) -> int:
         return 2 * self.m_bases
 
-    @property
-    def alternating(self) -> bool:
-        return self.mapping == "alternating"
-
     def point_phase(self, j: int) -> float:
         if not 0 <= j < self.num_points:
             raise ValueError(f"point index {j} out of range")
         return math.pi * j / self.m_bases
 
-    def point_bit(self, j: int) -> int:
-        """Logical bit carried by point j (basis is implied by j mod M)."""
-        if not 0 <= j < self.num_points:
-            raise ValueError(f"point index {j} out of range")
-        half = j // self.m_bases
-        if self.alternating:
-            return half ^ ((j % self.m_bases) & 1)
-        return half
+    def polarity(self, basis):
+        """1 where basis m carries its bits on flipped halves (odd m under "alternating")."""
+        return basis & 1 if self.mapping == "alternating" else 0
+
+    def point_bit(self, j):
+        """Logical bit carried by point j (basis is implied by j mod M).
+
+        Accepts a scalar or an integer array.
+        """
+        j = np.asarray(j)
+        if j.size and (j.min() < 0 or j.max() >= self.num_points):
+            raise ValueError(f"point index out of range 0..{self.num_points - 1}")
+        return _scalar_or_array((j // self.m_bases) ^ self.polarity(j % self.m_bases))
 
 
-def encode(bit: int, basis: int, c: Constellation) -> int:
-    if bit not in (0, 1):
-        raise ValueError(f"bit must be 0 or 1, got {bit}")
-    if not 0 <= basis < c.m_bases:
-        raise ValueError(f"basis {basis} out of range for M={c.m_bases}")
-    if c.alternating:
-        return basis + (bit ^ (basis & 1)) * c.m_bases
-    return basis + bit * c.m_bases
+def _scalar_or_array(x):
+    return int(x) if np.ndim(x) == 0 else x
+
+
+def encode(bit, basis, c: Constellation):
+    """Point basis + (bit ^ polarity(basis)) * M; accepts scalars or equal-length arrays."""
+    bit, basis = np.asarray(bit), np.asarray(basis)
+    if bit.size and (bit.min() < 0 or bit.max() > 1):
+        raise ValueError("bits must be 0 or 1")
+    if basis.size and (basis.min() < 0 or basis.max() >= c.m_bases):
+        raise ValueError(f"basis out of range for M={c.m_bases}")
+    return _scalar_or_array(basis + (bit ^ c.polarity(basis)) * c.m_bases)
 
 
 def decode(j: int, basis: int, c: Constellation) -> int:
@@ -89,25 +94,25 @@ def decode_lenient(j, basis, c: Constellation):
     wrong-key decrypt) it returns the bit of the nearer antipodal point.
     Accepts scalars or equal-length integer arrays.
     """
-    raw = (np.asarray(j) - np.asarray(basis)) % (2 * c.m_bases) // c.m_bases
-    if c.alternating:
-        raw = raw ^ (np.asarray(basis) & 1)
-    if np.ndim(raw) == 0:
-        return int(raw)
-    return raw
+    basis = np.asarray(basis)
+    half = (np.asarray(j) - basis) % (2 * c.m_bases) // c.m_bases
+    half ^= c.polarity(basis)
+    return _scalar_or_array(half)
 
 
-def dsr_offset(rng: np.random.Generator, d: int, j: int, m_bases: int) -> int:
-    """Deliberate state-randomization: dither j by a uniform offset in [-d, d].
+def dsr_offset(rng: np.random.Generator, d: int, j, m_bases: int):
+    """Deliberate state randomization: dither each point j by a uniform offset in [-d, d].
 
     d must stay below M/2 so the dithered point remains inside the keyed
-    half-plane and Bob's decision is unaffected.
+    half-plane and Bob's decision is unaffected.  Accepts a scalar or an
+    integer array; d = 0 returns j without drawing.
     """
     if not 0 <= d < m_bases / 2:
         raise ValueError(f"dsr offset d={d} must satisfy 0 <= d < M/2 = {m_bases / 2}")
     if d == 0:
         return j
-    return int((j + rng.integers(-d, d + 1)) % (2 * m_bases))
+    dither = rng.integers(-d, d + 1, size=np.shape(j))
+    return _scalar_or_array((j + dither) % (2 * m_bases))
 
 
 def _lfsr_fill_py(state, tap_shifts, top, out):
@@ -188,21 +193,8 @@ class KeystreamGen:
                                      "little")
         return buf[:n]
 
-    def next_basis(self, m_bases: int) -> int:
-        """Consume log2(M) bits and read them big-endian as the basis index."""
-        if not _is_power_of_two(m_bases):
-            raise ValueError(f"M must be a power of two, got {m_bases}")
-        k = m_bases.bit_length() - 1
-        if k == 0:
-            return 0
-        bits = self.bits(k)
-        basis = 0
-        for b in bits:
-            basis = (basis << 1) | int(b)
-        return basis
-
     def bases(self, m_bases: int, count: int) -> np.ndarray:
-        """Vectorized next_basis: count basis indices, consuming count*log2(M) bits."""
+        """Next count basis indices, each log2(M) keystream bits read big-endian."""
         if not _is_power_of_two(m_bases):
             raise ValueError(f"M must be a power of two, got {m_bases}")
         k = m_bases.bit_length() - 1

@@ -22,21 +22,14 @@ import sys
 
 import numpy as np
 
-from .cipher import Constellation, KeystreamGen, MAPPINGS, decode_lenient
-from .keyrate import KEYRATE_EVE_STRATEGIES, eve_exact_ber, key_rate
-from .montecarlo import EVE_STRATEGIES, SimConfig, run_simulation
-from .receivers import (
-    RECEIVER_KINDS,
-    ReceiverModel,
-    canonical_phase_antipodal,
-    eve_nokey_helstrom,
-    helstrom_pure_antipodal,
-    heterodyne_antipodal,
-    homodyne_antipodal,
-)
+from .cipher import Constellation, KeystreamGen, MAPPINGS, decode_lenient, encode
+from .keyrate import KEYRATE_EVE_STRATEGIES, key_rate, key_rate_vs_s
+from .montecarlo import SimConfig, run_simulation
+from .receivers import EVE_STRATEGIES, RECEIVER_KINDS, ReceiverModel, eve_nokey_helstrom
 
 MAGIC = b"Y00STRM1"
 FORMAT_VERSION = 1
+MAX_M = 1 << 15  # the 2M point indices must fit the u16 body
 MAPPING_CODES = {"alternating": 0, "plain": 1}
 MAPPING_NAMES = {v: k for k, v in MAPPING_CODES.items()}
 
@@ -79,32 +72,27 @@ def _emit_table(args, header: list[str], rows: list[list]) -> None:
         _write_output(_to_json(records), args.output)
 
 
-_BER_LAWS = {
-    "optimal": lambda s, res: helstrom_pure_antipodal(s),
-    "phase": lambda s, res: canonical_phase_antipodal(s, res),
-    "homodyne": lambda s, res: homodyne_antipodal(s),
-    "heterodyne": lambda s, res: heterodyne_antipodal(s),
-}
-
-
 def cmd_ber_table(args) -> int:
-    receivers = [r.strip() for r in args.receivers.split(",") if r.strip()]
-    if not receivers or any(r not in RECEIVER_KINDS for r in receivers):
+    try:
+        receivers = [ReceiverModel(r.strip(), args.resolution)
+                     for r in args.receivers.split(",") if r.strip()]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if not receivers:
         raise UsageError(f"receivers must be a comma list from {RECEIVER_KINDS}")
-    if args.s_min < 0 or args.s_max < args.s_min or args.steps < 2:
-        if not (args.steps == 2 and args.s_min == args.s_max >= 0):
-            raise UsageError("need 0 <= s-min <= s-max and steps >= 2")
+    if not 0 <= args.s_min <= args.s_max < math.inf or args.steps < 2:
+        raise UsageError("need finite 0 <= s-min <= s-max and steps >= 2")
     grid = np.linspace(args.s_min, args.s_max, args.steps)
     if args.s_min == args.s_max:
         grid = grid[:1]
     header = ["S"]
     for r in receivers:
-        header += [f"{r}_exact", f"{r}_asymptotic"]
+        header += [f"{r.kind}_exact", f"{r.kind}_asymptotic"]
     rows = []
     for s in grid:
         row = [float(s)]
         for r in receivers:
-            law = _BER_LAWS[r](float(s), args.resolution)
+            law = r.law(float(s))
             row += [law.exact, law.asymptotic]
         rows.append(row)
     _emit_table(args, header, rows)
@@ -112,11 +100,13 @@ def cmd_ber_table(args) -> int:
 
 
 def cmd_eve_nokey(args) -> int:
-    m_list = [int(m) for m in args.m_list.split(",")]
-    rows = []
-    for m in m_list:
-        const = Constellation(m, args.mapping)  # rejects bad M
-        rows.append([m, eve_nokey_helstrom(args.s, const)])
+    if not (math.isfinite(args.s) and args.s >= 0):
+        raise UsageError("--s must be finite and >= 0")
+    try:
+        consts = [Constellation(int(m), args.mapping) for m in args.m_list.split(",")]
+    except ValueError as exc:
+        raise UsageError(f"--m-list: {exc}") from None
+    rows = [[c.m_bases, eve_nokey_helstrom(args.s, c)] for c in consts]
     _emit_table(args, ["M", "p_e"], rows)
     return 0
 
@@ -152,11 +142,9 @@ def cmd_keyrate(args) -> int:
     if not args.line_rate > 0:
         raise UsageError("--line-rate must be positive")
     if args.s is not None:
-        p_bob = helstrom_pure_antipodal(args.s).exact
-        p_eve = eve_exact_ber(args.s, args.eve)
+        report = key_rate_vs_s([args.s], args.eve, args.line_rate)[0]
     else:
-        p_bob, p_eve = args.p_bob, args.p_eve
-    report = key_rate(p_bob, p_eve, args.line_rate)
+        report = key_rate(args.p_bob, args.p_eve, args.line_rate)
     doc = report.to_dict()
     doc["eve_strategy"] = args.eve
     doc["s"] = args.s
@@ -182,6 +170,8 @@ def _parse_header(blob: bytes) -> tuple[int, str]:
 
 
 def cmd_encrypt(args) -> int:
+    if args.m > MAX_M:
+        raise UsageError(f"--m must be <= {MAX_M}: the ciphertext stores point indices as u16")
     try:
         const = Constellation(args.m, args.mapping)
         gen = KeystreamGen.from_hex(args.seed_key)
@@ -190,9 +180,7 @@ def cmd_encrypt(args) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).astype(np.int64)
-    bases = gen.bases(args.m, bits.size)
-    pol = (bases & 1) if const.alternating else 0
-    points = bases + ((bits ^ pol) * args.m)
+    points = encode(bits, gen.bases(args.m, bits.size), const)
     payload = _pack_header(args.m, args.mapping) + points.astype("<u2").tobytes()
     with open(args.output, "wb") as fh:
         fh.write(payload)
@@ -266,7 +254,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed-key", default="deadbeef", help="hex seed of the keystream LFSR")
     p.add_argument("--bob", choices=RECEIVER_KINDS, default="heterodyne")
     p.add_argument("--resolution", type=int, default=4096)
-    p.add_argument("--eve", choices=EVE_STRATEGIES, default="none")
+    p.add_argument("--eve", choices=(*EVE_STRATEGIES, "none"), default="none")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--dsr-d", type=int, default=0)

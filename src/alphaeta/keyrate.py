@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .receivers import canonical_phase_antipodal, helstrom_pure_antipodal, heterodyne_antipodal
+from .receivers import EVE_STRATEGIES, ReceiverModel, helstrom_pure_antipodal
 
-KEYRATE_EVE_STRATEGIES = ("phase-deferred", "heterodyne-deferred")
+# the strategies with a closed-form BER: those that learn the basis afterwards
+KEYRATE_EVE_STRATEGIES = tuple(name for name, kind in EVE_STRATEGIES.items() if kind)
 
 
 def binary_entropy(p: float) -> float:
@@ -48,22 +49,16 @@ def key_rate(p_bob: float, p_eve: float, line_rate: float) -> KeyRateReport:
     return KeyRateReport(p_bob, p_eve, line_rate, fraction, line_rate * fraction)
 
 
-def eve_exact_ber(s: float, eve_strategy: str) -> float:
-    """Exact BER of the chosen deferred-decision eavesdropper strategy."""
-    if eve_strategy == "phase-deferred":
-        return canonical_phase_antipodal(s).exact
-    if eve_strategy == "heterodyne-deferred":
-        return heterodyne_antipodal(s).exact
-    raise ValueError(f"unknown eve strategy {eve_strategy!r}")
-
-
 def key_rate_vs_s(s_values: list[float], eve_strategy: str,
                   line_rate: float) -> list[KeyRateReport]:
-    """Rate sweep with Bob at the optimum keyed receiver."""
+    """Rate sweep with Bob at the optimum keyed receiver and Eve deferring her decision."""
+    kind = EVE_STRATEGIES.get(eve_strategy)
+    if kind is None:
+        raise ValueError(f"{eve_strategy!r} is not a deferred eve strategy")
+    eve = ReceiverModel(kind)
     reports = []
     for s in s_values:
         if s < 0:
             raise ValueError("S must be >= 0")
-        reports.append(key_rate(helstrom_pure_antipodal(s).exact,
-                                eve_exact_ber(s, eve_strategy), line_rate))
+        reports.append(key_rate(helstrom_pure_antipodal(s).exact, eve.law(s).exact, line_rate))
     return reports

@@ -19,20 +19,12 @@ from functools import partial
 
 import numpy as np
 
-from .cipher import Constellation, KeystreamGen
+from .cipher import Constellation, KeystreamGen, dsr_offset, encode
 from .fock import CoherentVec, coherent_amplitudes, phase_distribution, wrap_angle
-from .receivers import (
-    ReceiverModel,
-    canonical_phase_antipodal,
-    helstrom_pure_antipodal,
-    heterodyne_antipodal,
-    homodyne_antipodal,
-)
+from .receivers import EVE_STRATEGIES, ReceiverModel, helstrom_pure_antipodal
 
 BATCH_SIZE = 1 << 16
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
-
-EVE_STRATEGIES = ("heterodyne-deferred", "phase-deferred", "nearest-point", "none")
 
 
 def wilson_interval(errors: int, trials: int, z: float = WILSON_Z99) -> tuple[float, float]:
@@ -81,7 +73,7 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if not math.isfinite(self.s) or self.s < 0:
             raise ValueError("S must be finite and >= 0")
-        if self.eve_strategy not in EVE_STRATEGIES:
+        if self.eve_strategy != "none" and self.eve_strategy not in EVE_STRATEGIES:
             raise ValueError(f"unknown eve strategy {self.eve_strategy!r}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
@@ -151,24 +143,6 @@ class PhaseSampler:
         return np.interp(rng.random(size), self._cdf, self._edges)
 
 
-def sample_phase(v: CoherentVec, rng: np.random.Generator, size: int | None = None,
-                 resolution: int = 1 << 16):
-    """Draw canonical-phase outcomes for state v (builds a sampler per call)."""
-    return PhaseSampler(v, resolution).sample(rng, size)
-
-
-def _analytic_ber(kind: str, s: float, resolution: int) -> float:
-    if kind == "optimal":
-        return helstrom_pure_antipodal(s).exact
-    if kind == "heterodyne":
-        return heterodyne_antipodal(s).exact
-    if kind == "homodyne":
-        return homodyne_antipodal(s).exact
-    if kind == "phase":
-        return canonical_phase_antipodal(s, resolution).exact
-    raise ValueError(kind)
-
-
 def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | None,
                bases: np.ndarray, p_flip: float, batch: int) -> tuple[int, int]:
     m_count = cfg.m_bases
@@ -179,45 +153,37 @@ def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | Non
 
     m = bases[lo:hi]
     bits = rng.integers(0, 2, size=n, dtype=np.int64)
-    pol = (m & 1) if const.alternating else np.zeros(n, dtype=np.int64)
-    j = m + (bits ^ pol) * m_count
-    if cfg.dsr_d:
-        j = (j + rng.integers(-cfg.dsr_d, cfg.dsr_d + 1, size=n)) % (2 * m_count)
+    sent = encode(bits, m, const)
+    sent_far = sent >= m_count  # the bit sits on point m+M of its pair, not on m
+    j = dsr_offset(rng, cfg.dsr_d, sent, m_count)
     theta_j = np.pi * j / m_count
     theta_m = np.pi * m / m_count
 
-    kind = cfg.bob_receiver.kind
-    if kind == "optimal":
-        bob_bits = bits ^ (rng.random(n) < p_flip)
-    else:
+    def errors(kind: str | None) -> int:
+        """Wrong decisions of receiver `kind`: the one decision kernel of Bob and Eve.
+
+        A keyed receiver picks the point of the pair (m, m+M) on whose side of
+        the basis axis its outcome falls; "optimal" errs with the Helstrom
+        probability.  kind None has no key: it snaps a canonical-phase outcome
+        to the nearest of all 2M points and reads that point's bit.
+        """
+        if kind == "optimal":
+            return int(np.count_nonzero(rng.random(n) < p_flip))
         if kind == "heterodyne":
             z = sample_heterodyne(cfg.s, theta_j, rng, n)
-            raw = np.real(z * np.exp(-1j * theta_m)) < 0
+            far = np.real(z * np.exp(-1j * theta_m)) < 0
         elif kind == "homodyne":
-            raw = sample_homodyne(cfg.s, theta_j, theta_m, rng, n) < 0
-        else:  # phase
+            far = sample_homodyne(cfg.s, theta_j, theta_m, rng, n) < 0
+        else:  # phase, or keyless nearest-point
             phi_hat = wrap_angle(sampler.sample(rng, n) + theta_j)
-            raw = np.cos(phi_hat - theta_m) < 0
-        bob_bits = raw.astype(np.int64) ^ pol
-    bob_err = int(np.count_nonzero(bob_bits != bits))
+            if kind is None:
+                j_hat = np.rint(phi_hat * m_count / np.pi).astype(np.int64) % (2 * m_count)
+                return int(np.count_nonzero(const.point_bit(j_hat) != bits))
+            far = np.cos(phi_hat - theta_m) < 0
+        return int(np.count_nonzero(far != sent_far))
 
-    eve_err = 0
-    if cfg.eve_strategy != "none":
-        if cfg.eve_strategy == "heterodyne-deferred":
-            z = sample_heterodyne(cfg.s, theta_j, rng, n)
-            raw = np.real(z * np.exp(-1j * theta_m)) < 0
-            eve_bits = raw.astype(np.int64) ^ pol
-        elif cfg.eve_strategy == "phase-deferred":
-            phi_hat = wrap_angle(sampler.sample(rng, n) + theta_j)
-            raw = np.cos(phi_hat - theta_m) < 0
-            eve_bits = raw.astype(np.int64) ^ pol
-        else:  # nearest-point: never learns the key, snaps to the closest point
-            phi_hat = wrap_angle(sampler.sample(rng, n) + theta_j)
-            j_hat = np.rint(phi_hat * m_count / np.pi).astype(np.int64) % (2 * m_count)
-            eve_bits = j_hat // m_count
-            if const.alternating:
-                eve_bits = eve_bits ^ ((j_hat % m_count) & 1)
-        eve_err = int(np.count_nonzero(eve_bits != bits))
+    bob_err = errors(cfg.bob_receiver.kind)
+    eve_err = errors(EVE_STRATEGIES[cfg.eve_strategy]) if cfg.eve_strategy != "none" else 0
     return bob_err, eve_err
 
 
@@ -230,8 +196,9 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
     gen = KeystreamGen.from_hex(cfg.seed_key)
     bases = gen.bases(cfg.m_bases, cfg.trials)
 
+    eve_kind = EVE_STRATEGIES.get(cfg.eve_strategy)
     needs_phase = cfg.bob_receiver.kind == "phase" or \
-        cfg.eve_strategy in ("phase-deferred", "nearest-point")
+        (cfg.eve_strategy != "none" and eve_kind in ("phase", None))
     sampler = PhaseSampler(coherent_amplitudes(cfg.s, 0.0)) if needs_phase else None
     p_flip = helstrom_pure_antipodal(cfg.s).exact
 
@@ -245,12 +212,8 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
     bob_err = sum(c[0] for c in counts)
     eve_err = sum(c[1] for c in counts)
 
-    analytic_bob = _analytic_ber(cfg.bob_receiver.kind, cfg.s, cfg.bob_receiver.resolution)
-    analytic_eve = None
-    if cfg.eve_strategy == "heterodyne-deferred":
-        analytic_eve = heterodyne_antipodal(cfg.s).exact
-    elif cfg.eve_strategy == "phase-deferred":
-        analytic_eve = canonical_phase_antipodal(cfg.s).exact
+    analytic_bob = cfg.bob_receiver.law(cfg.s).exact
+    analytic_eve = ReceiverModel(eve_kind).law(cfg.s).exact if eve_kind else None
 
     eve = BerEstimate.from_counts(eve_err, cfg.trials) if cfg.eve_strategy != "none" else None
     return TrialReport(cfg, BerEstimate.from_counts(bob_err, cfg.trials), eve,

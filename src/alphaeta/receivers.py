@@ -3,9 +3,10 @@
 Four receivers are covered: the optimum (Helstrom) binary measurement,
 the canonical phase measurement, homodyne and heterodyne detection.
 The exact laws come with their asymptotic exponential envelopes
-e^{-4S}, e^{-2S}, e^{-2S} and e^{-S} respectively.  Also here: the
-eavesdropper calculators — deferred-decision strategies and the
-no-key Helstrom bound over the full constellation mixture.
+e^{-4S}, e^{-2S}, e^{-2S} and e^{-S} respectively.  BER_LAWS and
+EVE_STRATEGIES are the one table that pairs each receiver and each
+eavesdropper strategy with its law.  Also here: the no-key Helstrom bound
+over the full constellation mixture.
 """
 
 from __future__ import annotations
@@ -18,8 +19,27 @@ import numpy as np
 from .cipher import Constellation
 from .fock import coherent_amplitudes, phase_distribution
 
-RECEIVER_KINDS = ("optimal", "phase", "homodyne", "heterodyne")
-DEFERRED_STRATEGIES = ("phase", "heterodyne")
+# receiver kind -> law(s, resolution); the resolution only matters for "phase".
+# The lambdas look each law up by name at call time, so the wrappers that
+# perfbench/tracer.py installs on the module attributes see every call.
+BER_LAWS = {
+    "optimal": lambda s, resolution: helstrom_pure_antipodal(s),
+    "phase": lambda s, resolution: canonical_phase_antipodal(s, resolution),
+    "homodyne": lambda s, resolution: homodyne_antipodal(s),
+    "heterodyne": lambda s, resolution: heterodyne_antipodal(s),
+}
+RECEIVER_KINDS = tuple(BER_LAWS)
+
+# Eve strategy -> the receiver kind whose law she reaches once the basis is
+# revealed: a deferred strategy stores its continuous outcome and loses nothing
+# by deciding later.  None: she never learns the basis ("nearest-point" snaps a
+# phase outcome to the closest of all 2M points).  "none" (no eavesdropper) is
+# not a strategy.
+EVE_STRATEGIES = {
+    "phase-deferred": "phase",
+    "heterodyne-deferred": "heterodyne",
+    "nearest-point": None,
+}
 
 
 @dataclass(frozen=True)
@@ -32,8 +52,11 @@ class ReceiverModel:
     def __post_init__(self):
         if self.kind not in RECEIVER_KINDS:
             raise ValueError(f"unknown receiver kind {self.kind!r}")
-        if self.kind == "phase" and self.resolution < 4096:
-            raise ValueError("phase receiver needs resolution >= 4096")
+        if self.kind == "phase" and (self.resolution < 4096 or self.resolution % 4):
+            raise ValueError("phase receiver needs a resolution >= 4096 divisible by 4")
+
+    def law(self, s: float) -> BerLaw:
+        return BER_LAWS[self.kind](s, self.resolution)
 
 
 @dataclass(frozen=True)
@@ -84,20 +107,6 @@ def canonical_phase_antipodal(s: float, resolution: int = 4096) -> BerLaw:
     return BerLaw(exact, math.exp(-2.0 * s), 2.0)
 
 
-def eve_deferred_key_ber(s: float, strategy: str, resolution: int = 4096) -> BerLaw:
-    """BER of an eavesdropper who measures now and learns the basis afterwards.
-
-    The stored continuous outcome (phase estimate or heterodyne point) loses
-    nothing by deferring the binary decision, so each strategy performs at
-    the corresponding antipodal law.
-    """
-    if strategy == "phase":
-        return canonical_phase_antipodal(s, resolution)
-    if strategy == "heterodyne":
-        return heterodyne_antipodal(s)
-    raise ValueError(f"unknown deferred strategy {strategy!r}")
-
-
 def _circulant_gram_spectrum(s: float, n_points: int) -> np.ndarray:
     """Eigenvalues of the Gram matrix of n_points coherent states on a circle (S > 0).
 
@@ -135,8 +144,7 @@ def eve_nokey_helstrom(s: float, constellation: Constellation) -> float:
     if s == 0.0:
         return 0.5  # only lambda_0 survives, and sum_j c_j = 0
     sqrt_lam = np.sqrt(_circulant_gram_spectrum(s, n))
-    weights = np.array([1.0 - 2.0 * constellation.point_bit(j) for j in range(n)])
-    weights /= constellation.m_bases
+    weights = (1.0 - 2.0 * constellation.point_bit(np.arange(n))) / constellation.m_bases
     c_hat = np.fft.ifft(weights)  # (1/N) sum_j c_j e^{2 pi i d j / N}
     q = np.arange(n)
     h = np.outer(sqrt_lam, sqrt_lam) * c_hat[(q[:, None] - q[None, :]) % n]

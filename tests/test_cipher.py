@@ -94,6 +94,23 @@ class TestEncodeDecode:
                     j = encode(bit, basis, c)
                     assert decode_lenient(j, basis, c) == bit
 
+    @pytest.mark.parametrize("mapping", ["alternating", "plain"])
+    def test_encode_and_point_bit_vectorized(self, mapping):
+        c = Constellation(16, mapping)
+        rng = np.random.default_rng(3)
+        bits = rng.integers(0, 2, size=500)
+        basis = rng.integers(0, 16, size=500)
+        j = encode(bits, basis, c)
+        assert j.tolist() == [encode(int(b), int(m), c) for b, m in zip(bits, basis)]
+        assert c.point_bit(j).tolist() == bits.tolist()
+        assert c.point_bit(np.arange(32)).tolist() == [c.point_bit(k) for k in range(32)]
+        with pytest.raises(ValueError):
+            encode(bits, basis + 1, c)
+        with pytest.raises(ValueError):
+            encode(bits * 2, basis, c)
+        with pytest.raises(ValueError):
+            c.point_bit(np.array([0, 32]))
+
     def test_decode_lenient_vectorized(self):
         c = Constellation(8)
         j = np.array([0, 9, 5, 12])
@@ -113,6 +130,14 @@ class TestDsrOffset:
             dsr_offset(rng, 4, 0, 8)
         with pytest.raises(ValueError):
             dsr_offset(rng, -1, 0, 8)
+
+    def test_vectorized_window_and_draws(self):
+        j = np.arange(16) % 8
+        assert dsr_offset(np.random.default_rng(5), 0, j, 4) is j  # no draw at d = 0
+        out = dsr_offset(np.random.default_rng(5), 2, j, 8)
+        dither = np.random.default_rng(5).integers(-2, 3, size=16)
+        assert out.tolist() == ((j + dither) % 16).tolist()
+        assert set(((out - j + 8) % 16 - 8).tolist()) <= {-2, -1, 0, 1, 2}
 
     def test_uniform_over_window(self):
         rng = np.random.default_rng(99)
@@ -168,29 +193,32 @@ class TestKeystreamGen:
         gen = KeystreamGen.from_hex("deadbeef")
         bits = KeystreamGen.from_hex("deadbeef").bits(2)
         expected = (int(bits[0]) << 1) | int(bits[1])
-        assert gen.next_basis(4) == expected
+        assert gen.bases(4, 1).tolist() == [expected]
 
     def test_m1_consumes_nothing(self):
         gen = KeystreamGen.from_hex("1")
         before = gen.register
-        assert gen.next_basis(1) == 0
+        assert gen.bases(1, 5).tolist() == [0] * 5
         assert gen.register == before
 
     def test_rejects_non_power_of_two_m(self):
         with pytest.raises(ValueError):
-            KeystreamGen.from_hex("1").next_basis(6)
+            KeystreamGen.from_hex("1").bases(6, 1)
 
     def test_bases_matches_sequential_next_basis(self):
         bulk = KeystreamGen.from_hex("c0ffee").bases(16, 200)
         gen = KeystreamGen.from_hex("c0ffee")
-        seq = [gen.next_basis(16) for _ in range(200)]
+        seq = [int(gen.bases(16, 1)[0]) for _ in range(200)]
         assert bulk.tolist() == seq
+        # bit-serial reference: each basis is 4 keystream bits read big-endian
+        bits = KeystreamGen.from_hex("c0ffee").bits(800).reshape(200, 4)
+        assert bulk.tolist() == [int("".join(map(str, row)), 2) for row in bits]
 
     def test_interleaved_calls_deterministic(self):
         g1 = KeystreamGen.from_hex("77")
         g2 = KeystreamGen.from_hex("77")
-        out1 = [g1.next_basis(m) for m in (2, 8, 4, 64, 2, 16)]
-        out2 = [g2.next_basis(m) for m in (2, 8, 4, 64, 2, 16)]
+        out1 = [int(g1.bases(m, 1)[0]) for m in (2, 8, 4, 64, 2, 16)]
+        out2 = [int(g2.bases(m, 1)[0]) for m in (2, 8, 4, 64, 2, 16)]
         assert out1 == out2
 
     def test_basis_uniformity_chi_square(self):

@@ -9,7 +9,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from alphaeta.cli import main
+from alphaeta.cli import build_parser, main
+from alphaeta.receivers import BER_LAWS, EVE_STRATEGIES
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
@@ -63,6 +64,12 @@ class TestBerTable:
         code, _ = run_cli("ber-table", "--receivers", "optimal,psychic")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["--s-min", "nan"], ["--s-max", "inf"],
+                                      ["--resolution", "4097"], ["--receivers", ","]],
+                             ids=["s-min-nan", "s-max-inf", "resolution-4097", "no-receivers"])
+    def test_bad_flag_is_usage_error(self, argv):
+        assert run_cli("ber-table", *argv)[0] == 2
+
 
 class TestEveNokey:
     def test_m1_equals_optimal_exact(self):
@@ -83,9 +90,13 @@ class TestEveNokey:
         _, plain = run_cli("eve-nokey", "--s", "7", "--m-list", "16", "--mapping", "plain")
         assert float(parse_csv(alt)[1][0][1]) >= float(parse_csv(plain)[1][0][1])
 
-    def test_bad_m_is_usage_error(self):
-        code, _ = run_cli("eve-nokey", "--s", "7", "--m-list", "3")
-        assert code in (1, 2)
+    @pytest.mark.parametrize("m_list", ["3", "0", "abc"])
+    def test_bad_m_is_usage_error(self, m_list):
+        assert run_cli("eve-nokey", "--s", "7", "--m-list", m_list)[0] == 2
+
+    @pytest.mark.parametrize("s", ["-1", "nan"])
+    def test_bad_s_is_usage_error(self, s):
+        assert run_cli("eve-nokey", "--s", s)[0] == 2
 
     def test_beyond_fock_range(self):
         code, out = run_cli("eve-nokey", "--s", "2000", "--m-list", "1,64")
@@ -211,6 +222,20 @@ class TestEncryptDecrypt:
         assert np.array_equal(points, np.unpackbits(np.frombuffer(data, np.uint8)))
         assert rt.read_bytes() == data
 
+    def test_largest_m_round_trips(self, tmp_path):
+        data, ct, rt = self._roundtrip(tmp_path, 256, m="32768")
+        assert rt.read_bytes() == data
+        assert np.frombuffer(ct.read_bytes()[16:], dtype="<u2").max() >= 32768
+
+    @pytest.mark.parametrize("m", ["65536", "131072"])
+    def test_m_beyond_u16_body_is_usage_error(self, tmp_path, capsys, m):
+        pt = tmp_path / "pt.bin"
+        pt.write_bytes(b"abc")
+        code, _ = run_cli("encrypt", "--input", str(pt), "--output", str(tmp_path / "ct.bin"),
+                          "--seed-key", "1", "--m", m)
+        assert code == 2
+        assert "32768" in capsys.readouterr().err
+
     def test_header_mismatch_is_usage_error(self, tmp_path):
         _, ct, _ = self._roundtrip(tmp_path, 64)
         code, _ = run_cli("decrypt", "--input", str(ct), "--output",
@@ -256,3 +281,16 @@ class TestConfigFile:
         cfg.write_text("warp-factor=9\n")
         code, _ = run_cli("simulate", "--config", str(cfg), "--s", "1")
         assert code == 2
+
+
+def test_flag_choices_match_the_registry():
+    _, sub = build_parser()
+
+    def action(command, dest):
+        return next(a for a in sub[command]._actions if a.dest == dest)
+
+    assert set(action("simulate", "bob").choices) == set(BER_LAWS)
+    assert set(action("simulate", "eve").choices) == set(EVE_STRATEGIES) | {"none"}
+    assert set(action("keyrate", "eve").choices) == {
+        name for name, kind in EVE_STRATEGIES.items() if kind is not None}
+    assert action("ber-table", "receivers").default.split(",") == list(BER_LAWS)

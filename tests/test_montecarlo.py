@@ -7,11 +7,11 @@ from scipy import stats
 from alphaeta.fock import coherent_amplitudes, wrap_angle
 from alphaeta.montecarlo import (
     BerEstimate,
+    PhaseSampler,
     SimConfig,
     run_simulation,
     sample_heterodyne,
     sample_homodyne,
-    sample_phase,
     wilson_interval,
 )
 from alphaeta.receivers import (
@@ -90,14 +90,14 @@ class TestSamplers:
 
     def test_phase_vacuum_uniform_ks(self):
         rng = np.random.default_rng(7)
-        draws = sample_phase(coherent_amplitudes(0.0, 0.0, 8), rng, 10 ** 5)
+        draws = PhaseSampler(coherent_amplitudes(0.0, 0.0, 8)).sample(rng, 10 ** 5)
         res = stats.kstest(draws, stats.uniform(loc=-math.pi, scale=2 * math.pi).cdf)
         assert res.pvalue > 0.01
 
     def test_phase_half_plane_error_rate(self):
         rng = np.random.default_rng(8)
         n, s = 10 ** 7, 7.0
-        draws = sample_phase(coherent_amplitudes(s, 0.0), rng, n)
+        draws = PhaseSampler(coherent_amplitudes(s, 0.0)).sample(rng, n)
         p_hat = np.count_nonzero(np.abs(draws) > math.pi / 2) / n
         p = canonical_phase_antipodal(s, 16384).exact
         assert abs(p_hat - p) < 4 * math.sqrt(p * (1 - p) / n)
@@ -105,7 +105,7 @@ class TestSamplers:
     def test_phase_mode_follows_state_phase(self):
         rng = np.random.default_rng(9)
         theta = 1.25
-        draws = sample_phase(coherent_amplitudes(7.0, theta), rng, 10 ** 5)
+        draws = PhaseSampler(coherent_amplitudes(7.0, theta)).sample(rng, 10 ** 5)
         hist, edges = np.histogram(draws, bins=256, range=(-math.pi, math.pi))
         mode = (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1]) / 2
         assert abs(wrap_angle(mode - theta)) < 0.05

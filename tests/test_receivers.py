@@ -6,10 +6,13 @@ import pytest
 
 from alphaeta.cipher import Constellation
 from alphaeta.fock import coherent_amplitudes, hermitian_eigenvalues, mix, pure_density
+from alphaeta.keyrate import key_rate_vs_s
 from alphaeta.receivers import (
+    BER_LAWS,
+    EVE_STRATEGIES,
+    RECEIVER_KINDS,
     ReceiverModel,
     canonical_phase_antipodal,
-    eve_deferred_key_ber,
     eve_nokey_helstrom,
     exponent_fit,
     helstrom_pure_antipodal,
@@ -100,22 +103,28 @@ class TestCanonicalPhase:
             canonical_phase_antipodal(1.0, 2048)
 
 
+def eve_law(strategy, s):
+    """Law a deferred-decision eavesdropper reaches once the basis is revealed."""
+    return ReceiverModel(EVE_STRATEGIES[strategy]).law(s)
+
+
 class TestEveDeferred:
     def test_equals_corresponding_antipodal_law(self):
-        assert eve_deferred_key_ber(7.0, "phase").exact == canonical_phase_antipodal(7.0).exact
-        assert eve_deferred_key_ber(7.0, "heterodyne").exact == heterodyne_antipodal(7.0).exact
+        assert eve_law("phase-deferred", 7.0).exact == canonical_phase_antipodal(7.0).exact
+        assert eve_law("heterodyne-deferred", 7.0).exact == heterodyne_antipodal(7.0).exact
 
     def test_s7_asymptotics(self):
-        assert eve_deferred_key_ber(7.0, "phase").asymptotic == pytest.approx(8.32e-7, rel=0.01)
-        assert eve_deferred_key_ber(7.0, "heterodyne").asymptotic == pytest.approx(9.12e-4, rel=0.01)
+        assert eve_law("phase-deferred", 7.0).asymptotic == pytest.approx(8.32e-7, rel=0.01)
+        assert eve_law("heterodyne-deferred", 7.0).asymptotic == pytest.approx(9.12e-4, rel=0.01)
 
     def test_s0(self):
-        assert eve_deferred_key_ber(0.0, "phase").exact == pytest.approx(0.5, abs=1e-12)
-        assert eve_deferred_key_ber(0.0, "heterodyne").exact == 0.5
+        assert eve_law("phase-deferred", 0.0).exact == pytest.approx(0.5, abs=1e-12)
+        assert eve_law("heterodyne-deferred", 0.0).exact == 0.5
 
     def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            eve_deferred_key_ber(1.0, "telepathy")
+        for strategy in ("telepathy", "nearest-point", "none"):
+            with pytest.raises(ValueError):
+                key_rate_vs_s([1.0], strategy, 1e9)
 
 
 class TestEveNokey:
@@ -208,7 +217,7 @@ class TestHierarchy:
     def test_keyed_measurement_advantage(self):
         for s in np.linspace(1, 10, 19):
             bob = helstrom_pure_antipodal(s).exact
-            eve = eve_deferred_key_ber(s, "phase").exact
+            eve = eve_law("phase-deferred", s).exact
             assert bob < eve
 
     def test_exact_bers_nonincreasing_in_s(self):
@@ -225,3 +234,21 @@ def test_receiver_model_validation():
         ReceiverModel("lidar")
     with pytest.raises(ValueError):
         ReceiverModel("phase", 1024)
+    with pytest.raises(ValueError):
+        ReceiverModel("phase", 4097)
+
+
+class TestRegistry:
+    def test_receiver_laws_are_the_closed_forms(self):
+        direct = {"optimal": helstrom_pure_antipodal, "phase": canonical_phase_antipodal,
+                  "homodyne": homodyne_antipodal, "heterodyne": heterodyne_antipodal}
+        assert RECEIVER_KINDS == tuple(BER_LAWS) == tuple(direct)
+        for kind, law in direct.items():
+            for s in (0.0, 0.7, 7.0):
+                assert ReceiverModel(kind).law(s) == law(s)
+        assert ReceiverModel("phase", 8192).law(2.0) == canonical_phase_antipodal(2.0, 8192)
+
+    def test_eve_strategies_map_to_receiver_kinds(self):
+        assert EVE_STRATEGIES == {"phase-deferred": "phase",
+                                  "heterodyne-deferred": "heterodyne",
+                                  "nearest-point": None}
