@@ -5,6 +5,9 @@ quadrature.  Homodyne sees that vacuum noise directly; heterodyne pays
 one extra vacuum unit, i.e. variance 1/2 per quadrature.  With this
 convention the antipodal BERs are 1/2 erfc(sqrt(2S)) and 1/2 erfc(sqrt(S)).
 
+Keyed receivers decide on the axis quadrature (heterodyne, homodyne) or the CDF
+interval of the phase half-plane; keyless nearest-point Eve samples the phase.
+
 Trials run in fixed batches of 65536; batch i draws from an RNG stream
 keyed by (master_seed, i), so results are bit-identical regardless of
 how many workers execute the batches.
@@ -83,6 +86,7 @@ class SimConfig:
             raise ValueError("analytic-flip Bob cannot be combined with DSR "
                              "(the flip probability is no longer valid)")
         Constellation(self.m_bases, self.mapping)  # raises on bad M / mapping
+        KeystreamGen.from_hex(self.seed_key)  # raises on a non-hex or all-zero key
 
     def to_dict(self) -> dict:
         return {
@@ -113,12 +117,13 @@ class TrialReport:
         }
 
 
-def sample_heterodyne(s: float, phi, rng: np.random.Generator, size: int | None = None):
-    """Heterodyne outcome z = sqrt(S) e^{i phi} + g, Var(Re g) = Var(Im g) = 1/2."""
-    mean = math.sqrt(s) * np.exp(1j * np.asarray(phi))
-    noise = rng.normal(scale=math.sqrt(0.5), size=size) \
-        + 1j * rng.normal(scale=math.sqrt(0.5), size=size)
-    return mean + noise
+def sample_heterodyne(s: float, phi_signal, phi_axis, rng: np.random.Generator,
+                      size: int | None = None):
+    """Re(z e^{-i phi_axis}) of z = sqrt(S) e^{i phi_signal} + g, Var Re g = Var Im g = 1/2."""
+    g_re = rng.normal(scale=math.sqrt(0.5), size=size)
+    g_im = rng.normal(scale=math.sqrt(0.5), size=size)
+    return math.sqrt(s) * np.cos(np.subtract(phi_signal, phi_axis)) \
+        + g_re * np.cos(phi_axis) + g_im * np.sin(phi_axis)
 
 
 def sample_homodyne(s: float, phi_signal, phi_lo, rng: np.random.Generator,
@@ -142,9 +147,20 @@ class PhaseSampler:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return np.interp(rng.random(size), self._cdf, self._edges)
 
+    def half_planes(self, m_count: int) -> tuple[np.ndarray, np.ndarray]:
+        """CDF-space (lo, width) per offset k < 2M: F is monotone, so phi = F^-1(u) of
+        `sample` plus pi k/M is within pi/2 of the axis iff (u - lo[k]) mod 1 <= width[k]."""
+        def cdf(x):  # periodic extension, F(x + 2 pi) = F(x) + 1
+            turns = np.floor((x + np.pi) / (2 * np.pi))
+            return turns + np.interp(x - 2 * np.pi * turns, self._edges, self._cdf)
+
+        start = -np.pi / 2 - np.pi * np.arange(2 * m_count) / m_count
+        lo = cdf(start)
+        return lo % 1.0, cdf(start + np.pi) - lo
+
 
 def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | None,
-               bases: np.ndarray, p_flip: float, batch: int) -> tuple[int, int]:
+               planes, bases: np.ndarray, p_flip: float, batch: int) -> tuple[int, int]:
     m_count = cfg.m_bases
     lo = batch * BATCH_SIZE
     hi = min(lo + BATCH_SIZE, cfg.trials)
@@ -156,8 +172,6 @@ def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | Non
     sent = encode(bits, m, const)
     sent_far = sent >= m_count  # the bit sits on point m+M of its pair, not on m
     j = dsr_offset(rng, cfg.dsr_d, sent, m_count)
-    theta_j = np.pi * j / m_count
-    theta_m = np.pi * m / m_count
 
     def errors(kind: str | None) -> int:
         """Wrong decisions of receiver `kind`: the one decision kernel of Bob and Eve.
@@ -169,17 +183,19 @@ def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | Non
         """
         if kind == "optimal":
             return int(np.count_nonzero(rng.random(n) < p_flip))
-        if kind == "heterodyne":
-            z = sample_heterodyne(cfg.s, theta_j, rng, n)
-            far = np.real(z * np.exp(-1j * theta_m)) < 0
-        elif kind == "homodyne":
-            far = sample_homodyne(cfg.s, theta_j, theta_m, rng, n) < 0
-        else:  # phase, or keyless nearest-point
-            phi_hat = wrap_angle(sampler.sample(rng, n) + theta_j)
-            if kind is None:
-                j_hat = np.rint(phi_hat * m_count / np.pi).astype(np.int64) % (2 * m_count)
-                return int(np.count_nonzero(const.point_bit(j_hat) != bits))
-            far = np.cos(phi_hat - theta_m) < 0
+        if kind is None:
+            phi_hat = wrap_angle(sampler.sample(rng, n) + np.pi * j / m_count)
+            j_hat = np.rint(phi_hat * m_count / np.pi).astype(np.int64) % (2 * m_count)
+            return int(np.count_nonzero(const.point_bit(j_hat) != bits))
+        if kind == "phase":
+            k = (j - m) & (2 * m_count - 1)  # sent point's offset from the axis, mod 2M = 2^b
+            cdf_lo, cdf_width = planes
+            u = rng.random(n) - cdf_lo[k]
+            u += u < 0  # mod 1, as both terms lie in [0, 1); a float % is 3x slower
+            far = u > cdf_width[k]
+        else:
+            sample = sample_heterodyne if kind == "heterodyne" else sample_homodyne
+            far = sample(cfg.s, np.pi * j / m_count, np.pi * m / m_count, rng, n) < 0
         return int(np.count_nonzero(far != sent_far))
 
     bob_err = errors(cfg.bob_receiver.kind)
@@ -200,10 +216,11 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
     needs_phase = cfg.bob_receiver.kind == "phase" or \
         (cfg.eve_strategy != "none" and eve_kind in ("phase", None))
     sampler = PhaseSampler(coherent_amplitudes(cfg.s, 0.0)) if needs_phase else None
+    planes = sampler.half_planes(cfg.m_bases) if needs_phase else None
     p_flip = helstrom_pure_antipodal(cfg.s).exact
 
     n_batches = (cfg.trials + BATCH_SIZE - 1) // BATCH_SIZE
-    task = partial(_run_batch, cfg, const, sampler, bases, p_flip)
+    task = partial(_run_batch, cfg, const, sampler, planes, bases, p_flip)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(pool.map(task, range(n_batches)))

@@ -136,6 +136,11 @@ class TestSimulate:
         code, _ = run_cli("simulate", "--s", "1", "--m", "8", "--dsr-d", "4")
         assert code == 2
 
+    @pytest.mark.parametrize("key", ["0", "zz"])
+    def test_bad_seed_key_is_usage_error(self, key, capsys):
+        assert run_cli("simulate", "--s", "1", "--trials", "10", "--seed-key", key)[0] == 2
+        assert "computation failed" not in capsys.readouterr().err
+
 
 class TestKeyrate:
     def test_phase_deferred_report(self):

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from alphaeta.fock import coherent_amplitudes, wrap_angle
 from alphaeta.montecarlo import (
+    BATCH_SIZE,
     BerEstimate,
     PhaseSampler,
     SimConfig,
@@ -49,24 +52,24 @@ class TestWilson:
 class TestSamplers:
     def test_heterodyne_vacuum_moments(self):
         rng = np.random.default_rng(1)
-        z = sample_heterodyne(0.0, 0.0, rng, 10 ** 6)
-        n = z.size
-        for quad in (z.real, z.imag):
+        n = 10 ** 6
+        for axis in (0.0, math.pi / 2, 1.0):
+            quad = sample_heterodyne(0.0, 0.0, axis, rng, n)
             assert abs(np.mean(quad)) < 5 * math.sqrt(0.5 / n)
             assert abs(np.var(quad) - 0.5) < 5 * math.sqrt(2 * 0.25 / n)
 
     def test_heterodyne_mean_displacement(self):
         rng = np.random.default_rng(2)
-        z = sample_heterodyne(4.0, math.pi / 2, rng, 10 ** 6)
-        tol = 5 * math.sqrt(0.5 / z.size)
-        assert abs(np.mean(z.real)) < tol
-        assert np.mean(z.imag) == pytest.approx(2.0, abs=tol)
+        n = 10 ** 6
+        tol = 5 * math.sqrt(0.5 / n)
+        assert abs(np.mean(sample_heterodyne(4.0, math.pi / 2, 0.0, rng, n))) < tol
+        assert np.mean(sample_heterodyne(4.0, math.pi / 2, math.pi / 2, rng, n)) \
+            == pytest.approx(2.0, abs=tol)
 
     def test_heterodyne_sign_decision_matches_erfc(self):
         rng = np.random.default_rng(3)
         n, s = 10 ** 7, 7.0
-        z = sample_heterodyne(s, 0.0, rng, n)
-        p_hat = np.count_nonzero(z.real < 0) / n
+        p_hat = np.count_nonzero(sample_heterodyne(s, 0.0, 0.0, rng, n) < 0) / n
         p = heterodyne_antipodal(s).exact
         assert abs(p_hat - p) < 3 * math.sqrt(p * (1 - p) / n)
 
@@ -109,6 +112,44 @@ class TestSamplers:
         hist, edges = np.histogram(draws, bins=256, range=(-math.pi, math.pi))
         mode = (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1]) / 2
         assert abs(wrap_angle(mode - theta)) < 0.05
+
+
+class TestKeyedDecisionIdentity:
+    """The keyed kernels give, trial by trial and from the same draws, the
+    decisions of the complex heterodyne rotation and of the inverted phase."""
+
+    N = 1 << 16
+
+    def _trial_angles(self, m_count, d, seed):
+        rng = np.random.default_rng([seed, m_count, d])
+        m = rng.integers(0, m_count, self.N)
+        sent = m + m_count * rng.integers(0, 2, self.N)
+        j = (sent + rng.integers(-d, d + 1, self.N)) % (2 * m_count)
+        return j, m, np.pi * j / m_count, np.pi * m / m_count
+
+    @pytest.mark.parametrize("s", [0.3, 7.0, 100.0])
+    @pytest.mark.parametrize("m_count,d", [(1, 0), (2, 0), (32, 0), (32, 1), (32, 15)])
+    def test_heterodyne_axis_sign(self, s, m_count, d):
+        _, _, theta_j, theta_m = self._trial_angles(m_count, d, 11)
+        far = sample_heterodyne(s, theta_j, theta_m, np.random.default_rng(12), self.N) < 0
+        rng = np.random.default_rng(12)
+        g = rng.normal(scale=math.sqrt(0.5), size=self.N)
+        g = g + 1j * rng.normal(scale=math.sqrt(0.5), size=self.N)
+        z = math.sqrt(s) * np.exp(1j * theta_j) + g
+        np.testing.assert_array_equal(far, np.real(z * np.exp(-1j * theta_m)) < 0)
+
+    @pytest.mark.parametrize("s", [0.3, 7.0, 100.0])
+    @pytest.mark.parametrize("m_count,d", [(1, 0), (2, 0), (32, 0), (32, 1), (32, 15)])
+    def test_phase_cdf_interval(self, s, m_count, d):
+        sampler = PhaseSampler(coherent_amplitudes(s, 0.0))
+        lo, width = sampler.half_planes(m_count)
+        j, m, theta_j, theta_m = self._trial_angles(m_count, d, 13)
+        u = np.random.default_rng(14).random(self.N)
+        k = (j - m) % (2 * m_count)
+        far = (u - lo[k]) % 1.0 > width[k]
+        phi = np.interp(u, sampler._cdf, sampler._edges)
+        np.testing.assert_array_equal(far, np.cos(wrap_angle(phi + theta_j) - theta_m) < 0)
+        assert np.all((0 <= lo) & (lo < 1) & (0 <= width) & (width <= 1))
 
 
 def _cfg(**kw):
@@ -164,6 +205,18 @@ class TestRunSimulation:
         cfg = _cfg(eve_strategy="phase-deferred", trials=300_000, master_seed=77)
         reports = [run_simulation(cfg, workers=w).to_dict() for w in (1, 3, 8)]
         assert reports[0] == reports[1] == reports[2]
+
+    @settings(max_examples=6, deadline=None)
+    @given(trials=st.builds(lambda b, off: b * BATCH_SIZE + off,
+                            st.integers(1, 2), st.integers(-2, 2)),  # 1 to 3 batches
+           workers=st.sampled_from([2, 3]), dsr_d=st.integers(0, 3),
+           master_seed=st.integers(0, 2 ** 64 - 1))
+    def test_batch_split_independent_of_workers(self, trials, workers, dsr_d, master_seed):
+        cfg = _cfg(s=2.0, m_bases=8, bob_receiver=ReceiverModel("phase"),
+                   eve_strategy="phase-deferred", trials=trials, master_seed=master_seed,
+                   dsr_d=dsr_d)
+        assert run_simulation(cfg, workers=workers).to_dict() == \
+            run_simulation(cfg, workers=1).to_dict()
 
     def test_different_master_seed_changes_outcomes(self):
         a = run_simulation(_cfg(s=1.0, master_seed=1))

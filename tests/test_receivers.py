@@ -102,6 +102,22 @@ class TestCanonicalPhase:
         with pytest.raises(ValueError):
             canonical_phase_antipodal(1.0, 2048)
 
+    @pytest.mark.parametrize("s", [2.0, 7.0, 10.0])
+    def test_matches_mpmath_double_sum(self, s):
+        # P(|phi| > pi/2) for the density |sum_n c_n e^{i n phi}|^2 / 2pi:
+        # 1/2 - (1/pi) sum_{n != m} c_n c_m sin((m - n) pi/2) / (m - n),
+        # c_n = e^{-S/2} S^{n/2} / sqrt(n!), cut where the Poisson tail is < 1e-40
+        with mp.workdps(40):
+            n_max = int(s + 20 * math.sqrt(s) + 30)
+            c = [mp.exp(-mp.mpf(s) / 2) * mp.sqrt(mp.mpf(s) ** n / mp.factorial(n))
+                 for n in range(n_max)]
+            cross = mp.fsum(c[n] * c[m] * mp.sin((m - n) * mp.pi / 2) / (m - n)
+                            for n in range(n_max) for m in range(n_max) if m != n)
+            oracle = float(mp.mpf(1) / 2 - cross / mp.pi)
+        assert canonical_phase_antipodal(s).exact == pytest.approx(oracle, rel=1e-6)
+        if s == 7.0:
+            assert oracle == pytest.approx(2.146245e-5, rel=1e-6)
+
 
 def eve_law(strategy, s):
     """Law a deferred-decision eavesdropper reaches once the basis is revealed."""
