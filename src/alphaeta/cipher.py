@@ -142,7 +142,10 @@ class KeystreamGen:
         register &= (1 << degree) - 1
         if register == 0:
             raise ValueError("LFSR register must not be all-zero")
-        self._state = register
+        fill = np.frombuffer(register.to_bytes((degree + 7) // 8, "little"), dtype=np.uint8)
+        # The stream computed so far, ending with the register o[pos..pos+d-1];
+        # bits() keeps d*K bits of it, K the last step its doubling reached.
+        self._tail = np.unpackbits(fill, bitorder="little")[:degree]
         self.taps = taps
         self.degree = degree
 
@@ -158,7 +161,8 @@ class KeystreamGen:
 
     @property
     def register(self) -> int:
-        return self._state
+        return int.from_bytes(np.packbits(self._tail[-self.degree:], bitorder="little").tobytes(),
+                              "little")
 
     def bits(self, n: int) -> np.ndarray:
         """Next n keystream bits as a uint8 array; advances the state.
@@ -168,30 +172,37 @@ class KeystreamGen:
         polynomial satisfies p(x)^K = p(x^K) for K = 2^k, so the recurrence
         also holds with every offset scaled by K: once d*K bits are known,
         one XOR per tap emits the next K bits.  The register afterwards is
-        o[n..n+d-1].  The result is a view of the first n bits of one
-        (n + d)-byte buffer.
+        o[n..n+d-1].  The last d*K bits computed are kept for the next call,
+        so a run of calls doubles up from d bits only once.
         """
         if n < 0:
             raise ValueError("bit count must be >= 0")
-        d = self.degree
-        buf = np.empty(n + d, dtype=np.uint8)
-        register = np.frombuffer(self._state.to_bytes((d + 7) // 8, "little"), dtype=np.uint8)
-        buf[:d] = np.unpackbits(register, bitorder="little")[:d]
+        if n == 0:
+            return np.empty(0, dtype=np.uint8)
+        d, tail = self.degree, self._tail
+        step = 1
+        while step < n and d * step * 2 <= tail.size:  # no more history than n needs
+            step *= 2
+        head = d * step
+        total = head + n
+        buf = np.empty(total, dtype=np.uint8)
+        buf[:head] = tail[tail.size - head:]
         first, *rest = [t - 1 for t in self.taps]
-        filled, step = d, 1
-        while filled < n + d:
+        filled = head
+        while filled < total:
             while d * step * 2 <= filled:
                 step *= 2
-            k = min(step, n + d - filled)
+            k = min(step, total - filled)
             base = filled - d * step
             dst = buf[filled:filled + k]
             np.copyto(dst, buf[base + first * step:base + first * step + k])
             for off in rest:
                 dst ^= buf[base + off * step:base + off * step + k]
             filled += k
-        self._state = int.from_bytes(np.packbits(buf[n:], bitorder="little").tobytes(),
-                                     "little")
-        return buf[:n]
+        while d * step * 2 <= total:
+            step *= 2
+        self._tail = buf[total - d * step:].copy()  # the caller may write to its bits
+        return buf[head - d:head - d + n]
 
     def bases(self, m_bases: int, count: int) -> np.ndarray:
         """Next count basis indices, each log2(M) keystream bits read big-endian."""

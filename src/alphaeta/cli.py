@@ -17,8 +17,10 @@ import csv
 import io
 import json
 import math
+import os
 import struct
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -29,9 +31,11 @@ from .receivers import EVE_STRATEGIES, RECEIVER_KINDS, ReceiverModel, eve_nokey_
 
 MAGIC = b"Y00STRM1"
 FORMAT_VERSION = 1
+HEADER_BYTES = 16
 MAX_M = 1 << 15  # the 2M point indices must fit the u16 body
 MAPPING_CODES = {"alternating": 0, "plain": 1}
 MAPPING_NAMES = {v: k for k, v in MAPPING_CODES.items()}
+CHUNK_BYTES = 1 << 14  # plaintext bytes encrypted or decrypted per read
 
 REFERENCE_RATE_ORDERS = {"phase-deferred": 1e3, "heterodyne-deferred": 1e6}
 RATE_FORMULA_NOTE = (
@@ -158,15 +162,57 @@ def _pack_header(m_bases: int, mapping: str) -> bytes:
     return MAGIC + struct.pack("<HHB3x", FORMAT_VERSION, m_bases, MAPPING_CODES[mapping])
 
 
-def _parse_header(blob: bytes) -> tuple[int, str]:
-    if len(blob) < 16 or blob[:8] != MAGIC:
+def _parse_header(blob: bytes) -> Constellation:
+    if len(blob) < HEADER_BYTES or blob[:8] != MAGIC:
         raise ValueError("not a ciphertext stream (bad magic)")
-    version, m_bases, code = struct.unpack("<HHB3x", blob[8:16])
+    version, m_bases, code = struct.unpack("<HHB3x", blob[8:HEADER_BYTES])
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported ciphertext version {version}")
     if code not in MAPPING_NAMES:
         raise ValueError(f"unknown mapping code {code}")
-    return m_bases, MAPPING_NAMES[code]
+    return Constellation(m_bases, MAPPING_NAMES[code])  # raises on an M that is no power of 2
+
+
+def _check_distinct_paths(args) -> None:
+    """Streaming truncates --output before the open --input is read to its end."""
+    if os.path.exists(args.output) and os.path.samefile(args.input, args.output):
+        raise UsageError("--output must not be the --input file")
+
+
+def _stream(src, out_path: str, head: bytes, chunk_bytes: int, convert) -> None:
+    """Write head, then convert(chunk) of each chunk_bytes-byte read of src, to out_path.
+
+    A failure removes out_path, so no partial output is left behind (a device
+    such as /dev/null is left in place).
+    """
+    dst = open(out_path, "wb")
+    try:
+        with dst:
+            dst.write(head)
+            while chunk := src.read(chunk_bytes):
+                dst.write(convert(chunk))
+    except BaseException:
+        if os.path.isfile(out_path):
+            os.remove(out_path)
+        raise
+
+
+def _encrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:
+    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8)).astype(np.int64)
+    return encode(bits, gen.bases(const.m_bases, bits.size), const).astype("<u2").tobytes()
+
+
+def _decrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:
+    if len(chunk) % 2:
+        raise ValueError("ciphertext body has an odd number of bytes; "
+                         "each point index takes two")
+    points = np.frombuffer(chunk, dtype="<u2")
+    if points.max() >= const.num_points:
+        raise ValueError("ciphertext contains out-of-range point indices")
+    if points.size % 8 != 0:
+        raise ValueError("ciphertext bit count is not a whole number of bytes")
+    bits = decode_lenient(points, gen.bases(const.m_bases, points.size), const)
+    return np.packbits(bits.astype(np.uint8)).tobytes()
 
 
 def cmd_encrypt(args) -> int:
@@ -177,38 +223,27 @@ def cmd_encrypt(args) -> int:
         gen = KeystreamGen.from_hex(args.seed_key)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    with open(args.input, "rb") as fh:
-        data = fh.read()
-    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).astype(np.int64)
-    points = encode(bits, gen.bases(args.m, bits.size), const)
-    payload = _pack_header(args.m, args.mapping) + points.astype("<u2").tobytes()
-    with open(args.output, "wb") as fh:
-        fh.write(payload)
+    with open(args.input, "rb") as src:
+        _check_distinct_paths(args)
+        _stream(src, args.output, _pack_header(args.m, args.mapping), CHUNK_BYTES,
+                partial(_encrypt_chunk, gen, const))
     return 0
 
 
 def cmd_decrypt(args) -> int:
-    with open(args.input, "rb") as fh:
-        blob = fh.read()
-    m_bases, mapping = _parse_header(blob)
-    if args.m is not None and args.m != m_bases:
-        raise UsageError(f"--m {args.m} conflicts with ciphertext header M={m_bases}")
-    if args.mapping is not None and args.mapping != mapping:
-        raise UsageError(f"--mapping {args.mapping} conflicts with header {mapping}")
-    try:
-        const = Constellation(m_bases, mapping)
-        gen = KeystreamGen.from_hex(args.seed_key)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    points = np.frombuffer(blob[16:], dtype="<u2").astype(np.int64)
-    if np.any(points >= const.num_points):
-        raise ValueError("ciphertext contains out-of-range point indices")
-    if points.size % 8 != 0:
-        raise ValueError("ciphertext bit count is not a whole number of bytes")
-    bases = gen.bases(m_bases, points.size)
-    bits = decode_lenient(points, bases, const)
-    with open(args.output, "wb") as fh:
-        fh.write(np.packbits(bits.astype(np.uint8)).tobytes())
+    with open(args.input, "rb") as src:
+        const = _parse_header(src.read(HEADER_BYTES))
+        if args.m is not None and args.m != const.m_bases:
+            raise UsageError(f"--m {args.m} conflicts with ciphertext header M={const.m_bases}")
+        if args.mapping is not None and args.mapping != const.mapping:
+            raise UsageError(f"--mapping {args.mapping} conflicts with header {const.mapping}")
+        try:
+            gen = KeystreamGen.from_hex(args.seed_key)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
+        _check_distinct_paths(args)
+        # 16 body bytes (8 u16 points) per plaintext byte
+        _stream(src, args.output, b"", 16 * CHUNK_BYTES, partial(_decrypt_chunk, gen, const))
     return 0
 
 

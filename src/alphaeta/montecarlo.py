@@ -9,13 +9,16 @@ Keyed receivers decide on the axis quadrature (heterodyne, homodyne) or the CDF
 interval of the phase half-plane; keyless nearest-point Eve samples the phase.
 
 Trials run in fixed batches of 65536; batch i draws from an RNG stream
-keyed by (master_seed, i), so results are bit-identical regardless of
-how many workers execute the batches.
+keyed by (master_seed, i) and takes the keystream's i-th slice of bases,
+so results are bit-identical regardless of how many workers execute the
+batches.  The keystream is drawn batch by batch as the pool consumes it, so
+memory is bounded by the batch size, not the trial count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -117,20 +120,22 @@ class TrialReport:
         }
 
 
-def sample_heterodyne(s: float, phi_signal, phi_axis, rng: np.random.Generator,
+def sample_heterodyne(s: float, cos_offset, cos_axis, sin_axis, rng: np.random.Generator,
                       size: int | None = None):
-    """Re(z e^{-i phi_axis}) of z = sqrt(S) e^{i phi_signal} + g, Var Re g = Var Im g = 1/2."""
+    """Re(z e^{-i phi_axis}) of z = sqrt(S) e^{i phi_signal} + g, Var Re g = Var Im g = 1/2.
+
+    Takes phasors, not angles: cos_offset = cos(phi_signal - phi_axis) and the
+    axis's cos and sin, so a caller with angles pi k/M gathers them from a table.
+    """
     g_re = rng.normal(scale=math.sqrt(0.5), size=size)
     g_im = rng.normal(scale=math.sqrt(0.5), size=size)
-    return math.sqrt(s) * np.cos(np.subtract(phi_signal, phi_axis)) \
-        + g_re * np.cos(phi_axis) + g_im * np.sin(phi_axis)
+    return math.sqrt(s) * cos_offset + g_re * cos_axis + g_im * sin_axis
 
 
-def sample_homodyne(s: float, phi_signal, phi_lo, rng: np.random.Generator,
-                    size: int | None = None):
-    """Homodyne outcome x = sqrt(S) cos(phi_signal - phi_lo) + g, Var g = 1/4."""
-    mean = math.sqrt(s) * np.cos(np.asarray(phi_signal) - np.asarray(phi_lo))
-    return mean + rng.normal(scale=0.5, size=size)
+def sample_homodyne(s: float, cos_offset, rng: np.random.Generator, size: int | None = None):
+    """Homodyne outcome x = sqrt(S) cos_offset + g, Var g = 1/4, with cos_offset =
+    cos(phi_signal - phi_lo)."""
+    return math.sqrt(s) * cos_offset + rng.normal(scale=0.5, size=size)
 
 
 class PhaseSampler:
@@ -160,18 +165,18 @@ class PhaseSampler:
 
 
 def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | None,
-               planes, bases: np.ndarray, p_flip: float, batch: int) -> tuple[int, int]:
+               planes, phasors, p_flip: float, batch: int, m: np.ndarray) -> tuple[int, int]:
+    """Bob's and Eve's error counts over batch `batch`, whose keyed bases are m."""
     m_count = cfg.m_bases
-    lo = batch * BATCH_SIZE
-    hi = min(lo + BATCH_SIZE, cfg.trials)
-    n = hi - lo
+    n = m.size
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
 
-    m = bases[lo:hi]
     bits = rng.integers(0, 2, size=n, dtype=np.int64)
     sent = encode(bits, m, const)
     sent_far = sent >= m_count  # the bit sits on point m+M of its pair, not on m
     j = dsr_offset(rng, cfg.dsr_d, sent, m_count)
+    k = (j - m) & (2 * m_count - 1)  # sent point's offset from the axis, mod 2M = 2^b
+    cos_tab, sin_tab = phasors  # cos and sin of pi i/M for i < 2M
 
     def errors(kind: str | None) -> int:
         """Wrong decisions of receiver `kind`: the one decision kernel of Bob and Eve.
@@ -188,14 +193,14 @@ def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | Non
             j_hat = np.rint(phi_hat * m_count / np.pi).astype(np.int64) % (2 * m_count)
             return int(np.count_nonzero(const.point_bit(j_hat) != bits))
         if kind == "phase":
-            k = (j - m) & (2 * m_count - 1)  # sent point's offset from the axis, mod 2M = 2^b
             cdf_lo, cdf_width = planes
             u = rng.random(n) - cdf_lo[k]
             u += u < 0  # mod 1, as both terms lie in [0, 1); a float % is 3x slower
             far = u > cdf_width[k]
+        elif kind == "heterodyne":
+            far = sample_heterodyne(cfg.s, cos_tab[k], cos_tab[m], sin_tab[m], rng, n) < 0
         else:
-            sample = sample_heterodyne if kind == "heterodyne" else sample_homodyne
-            far = sample(cfg.s, np.pi * j / m_count, np.pi * m / m_count, rng, n) < 0
+            far = sample_homodyne(cfg.s, cos_tab[k], rng, n) < 0
         return int(np.count_nonzero(far != sent_far))
 
     bob_err = errors(cfg.bob_receiver.kind)
@@ -204,28 +209,36 @@ def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | Non
 
 
 def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
-    """Simulate cfg.trials symbols; deterministic for a fixed master_seed."""
+    """Simulate cfg.trials symbols; deterministic for a fixed master_seed.
+
+    The calling thread draws each batch's bases, in batch order, while the pool
+    works on earlier batches; at most 2 * workers batches are in flight.
+    """
     cfg.validate()
     if workers < 1:
         raise ValueError("workers must be >= 1")
     const = Constellation(cfg.m_bases, cfg.mapping)
     gen = KeystreamGen.from_hex(cfg.seed_key)
-    bases = gen.bases(cfg.m_bases, cfg.trials)
 
     eve_kind = EVE_STRATEGIES.get(cfg.eve_strategy)
     needs_phase = cfg.bob_receiver.kind == "phase" or \
         (cfg.eve_strategy != "none" and eve_kind in ("phase", None))
     sampler = PhaseSampler(coherent_amplitudes(cfg.s, 0.0)) if needs_phase else None
     planes = sampler.half_planes(cfg.m_bases) if needs_phase else None
+    angles = np.pi * np.arange(2 * cfg.m_bases) / cfg.m_bases
+    phasors = np.cos(angles), np.sin(angles)
     p_flip = helstrom_pure_antipodal(cfg.s).exact
 
-    n_batches = (cfg.trials + BATCH_SIZE - 1) // BATCH_SIZE
-    task = partial(_run_batch, cfg, const, sampler, planes, bases, p_flip)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(pool.map(task, range(n_batches)))
-    else:
-        counts = [task(b) for b in range(n_batches)]
+    task = partial(_run_batch, cfg, const, sampler, planes, phasors, p_flip)
+    counts = []
+    in_flight = deque()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for batch, lo in enumerate(range(0, cfg.trials, BATCH_SIZE)):
+            m = gen.bases(cfg.m_bases, min(BATCH_SIZE, cfg.trials - lo))
+            in_flight.append(pool.submit(task, batch, m))
+            if len(in_flight) >= 2 * workers:
+                counts.append(in_flight.popleft().result())
+        counts += [f.result() for f in in_flight]
     bob_err = sum(c[0] for c in counts)
     eve_err = sum(c[1] for c in counts)
 

@@ -15,6 +15,13 @@ from alphaeta.cipher import (
 )
 
 POWERS_OF_TWO = [1, 2, 4, 8, 16, 32, 64]
+LFSR_POLYNOMIALS = [  # (taps, degree) of maximal-length LFSRs
+    ((4, 3), 4),
+    ((32, 22, 2, 1), 32),
+    ((64, 63, 61, 60), 64),
+    ((89, 51), 89),
+    ((127, 126, 124, 120), 127),
+]
 
 
 class TestConstellation:
@@ -238,13 +245,7 @@ class TestKeystreamGen:
         _lfsr_fill_py(int("deadbeef", 16), [t - 1 for t in gen.taps], gen.degree - 1, slow)
         assert np.array_equal(fast, slow)
 
-    @pytest.mark.parametrize("taps, degree", [
-        ((4, 3), 4),
-        ((32, 22, 2, 1), 32),
-        ((64, 63, 61, 60), 64),
-        ((89, 51), 89),
-        ((127, 126, 124, 120), 127),
-    ])
+    @pytest.mark.parametrize("taps, degree", LFSR_POLYNOMIALS)
     def test_vectorised_bits_match_bit_serial_reference(self, taps, degree):
         from alphaeta.cipher import _lfsr_fill_py
         n = 100_003
@@ -264,6 +265,28 @@ class TestKeystreamGen:
             joined = np.concatenate([split.bits(12_345), split.bits(n - 12_345)])
             assert np.array_equal(joined, ref[:n])
             assert split.register == mid_state
+
+
+@settings(max_examples=30, deadline=None)
+@given(poly=st.sampled_from(LFSR_POLYNOMIALS), seed=st.integers(1, (1 << 127) - 1),
+       calls=st.lists(st.one_of(st.just(0), st.integers(1, 126), st.integers(127, 5000)),
+                      min_size=1, max_size=8))
+def test_bits_split_into_calls_matches_one_call(poly, seed, calls):
+    """bits() carries its history across calls: any split of the stream equals
+    one call and the bit-serial reference, and so does the register after each call."""
+    from alphaeta.cipher import _lfsr_fill_py
+    taps, degree = poly
+    seed = seed % ((1 << degree) - 1) + 1
+    total = sum(calls)
+    ref = np.empty(total + degree, dtype=np.uint8)  # o[i]; the register at pos is o[pos:pos+d]
+    _lfsr_fill_py(seed, [t - 1 for t in taps], degree - 1, ref)
+    gen = KeystreamGen(seed, taps, degree)
+    pos = 0
+    for n in calls:
+        assert np.array_equal(gen.bits(n), ref[pos:pos + n])
+        pos += n
+        assert gen.register == sum(int(b) << i for i, b in enumerate(ref[pos:pos + degree]))
+    assert np.array_equal(KeystreamGen(seed, taps, degree).bits(total), ref[:total])
 
 
 @settings(max_examples=60, deadline=None)

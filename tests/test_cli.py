@@ -2,6 +2,10 @@ import csv
 import io
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -9,7 +13,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from alphaeta.cli import build_parser, main
+import alphaeta
+from alphaeta.cli import CHUNK_BYTES, build_parser, main
 from alphaeta.receivers import BER_LAWS, EVE_STRATEGIES
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
@@ -246,6 +251,66 @@ class TestEncryptDecrypt:
         code, _ = run_cli("decrypt", "--input", str(ct), "--output",
                           str(tmp_path / "x.bin"), "--seed-key", "1", "--m", "16")
         assert code == 2
+
+    # (name, ciphertext mutation, message fragment) for a three-chunk M=32 file
+    BAD_CIPHERTEXTS = [
+        ("magic", lambda b: b"X" + b[1:], "bad magic"),
+        ("version", lambda b: b[:8] + struct.pack("<H", 2) + b[10:], "version 2"),
+        ("m-zero", lambda b: b[:10] + struct.pack("<H", 0) + b[12:], "power of two"),
+        ("m-not-power-of-two", lambda b: b[:10] + struct.pack("<H", 3) + b[12:], "power of two"),
+        ("mapping-code", lambda b: b[:12] + bytes([7]) + b[13:], "mapping code 7"),
+        ("odd-length-body", lambda b: b + b"\x00", "odd number of bytes"),
+        ("truncated-body", lambda b: b[:-2], "whole number of bytes"),
+        ("out-of-range-point-in-last-chunk", lambda b: b[:-2] + struct.pack("<H", 64),
+         "out-of-range"),
+    ]
+
+    @pytest.mark.parametrize("mutate, message", [case[1:] for case in BAD_CIPHERTEXTS],
+                             ids=[case[0] for case in BAD_CIPHERTEXTS])
+    def test_bad_ciphertext_fails_without_output(self, tmp_path, capsys, mutate, message):
+        _, ct, _ = self._roundtrip(tmp_path, 2 * CHUNK_BYTES + 3)
+        ct.write_bytes(mutate(ct.read_bytes()))
+        out = tmp_path / "out.bin"
+        capsys.readouterr()
+        code, _ = run_cli("decrypt", "--input", str(ct), "--output", str(out),
+                          "--seed-key", "c0ffee11")
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("computation failed: ") and err.count("\n") == 1
+        assert message in err
+        assert not out.exists()  # no partial plaintext
+
+    @pytest.mark.parametrize("command, name", [("encrypt", "pt.bin"), ("decrypt", "ct.bin")])
+    def test_output_onto_input_is_usage_error(self, tmp_path, command, name):
+        self._roundtrip(tmp_path, 64)
+        src = tmp_path / name
+        before = src.read_bytes()
+        (tmp_path / "sub").mkdir()
+        for out in (src, tmp_path / "sub" / ".." / name):  # also another spelling of it
+            assert run_cli(command, "--input", str(src), "--output", str(out),
+                           "--seed-key", "c0ffee11")[0] == 2
+            assert src.read_bytes() == before
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_decrypt_memory_bounded_by_chunk(self, tmp_path):
+        """A 1 MB decrypt peaks within 20 MB of a 1 kB one: the file is streamed."""
+        def peak_rss_mb(ct):
+            # VmHWM, not ru_maxrss: the child's ru_maxrss starts from this process's peak
+            probe = ("import sys; from alphaeta.cli import main; code = main(sys.argv[1:]); "
+                     "print([l for l in open('/proc/self/status') if l.startswith('VmHWM')][0]); "
+                     "sys.exit(code)")
+            env = dict(os.environ, PYTHONPATH=str(Path(alphaeta.__file__).resolve().parents[1]))
+            run = subprocess.run([sys.executable, "-c", probe, "decrypt", "--input", str(ct),
+                                  "--output", str(ct) + ".out", "--seed-key", "c0ffee11"],
+                                 env=env, capture_output=True, text=True, timeout=120, check=True)
+            return int(run.stdout.split()[-2]) / 1024  # "VmHWM: <n> kB"
+
+        small, large = tmp_path / "small", tmp_path / "large"
+        small.mkdir()
+        large.mkdir()
+        _, small_ct, _ = self._roundtrip(small, 1000)
+        _, large_ct, _ = self._roundtrip(large, 1_000_000)
+        assert peak_rss_mb(large_ct) < peak_rss_mb(small_ct) + 20
 
     def test_garbage_input_is_computation_error(self, tmp_path):
         bad = tmp_path / "garbage.bin"

@@ -54,7 +54,7 @@ class TestSamplers:
         rng = np.random.default_rng(1)
         n = 10 ** 6
         for axis in (0.0, math.pi / 2, 1.0):
-            quad = sample_heterodyne(0.0, 0.0, axis, rng, n)
+            quad = sample_heterodyne(0.0, math.cos(axis), math.cos(axis), math.sin(axis), rng, n)
             assert abs(np.mean(quad)) < 5 * math.sqrt(0.5 / n)
             assert abs(np.var(quad) - 0.5) < 5 * math.sqrt(2 * 0.25 / n)
 
@@ -62,31 +62,32 @@ class TestSamplers:
         rng = np.random.default_rng(2)
         n = 10 ** 6
         tol = 5 * math.sqrt(0.5 / n)
-        assert abs(np.mean(sample_heterodyne(4.0, math.pi / 2, 0.0, rng, n))) < tol
-        assert np.mean(sample_heterodyne(4.0, math.pi / 2, math.pi / 2, rng, n)) \
+        # signal at pi/2, read on the axes 0 and pi/2
+        assert abs(np.mean(sample_heterodyne(4.0, math.cos(math.pi / 2), 1.0, 0.0, rng, n))) < tol
+        assert np.mean(sample_heterodyne(4.0, 1.0, math.cos(math.pi / 2), 1.0, rng, n)) \
             == pytest.approx(2.0, abs=tol)
 
     def test_heterodyne_sign_decision_matches_erfc(self):
         rng = np.random.default_rng(3)
         n, s = 10 ** 7, 7.0
-        p_hat = np.count_nonzero(sample_heterodyne(s, 0.0, 0.0, rng, n) < 0) / n
+        p_hat = np.count_nonzero(sample_heterodyne(s, 1.0, 1.0, 0.0, rng, n) < 0) / n
         p = heterodyne_antipodal(s).exact
         assert abs(p_hat - p) < 3 * math.sqrt(p * (1 - p) / n)
 
     def test_homodyne_vacuum_variance(self):
         rng = np.random.default_rng(4)
-        x = sample_homodyne(0.0, 0.0, 0.0, rng, 10 ** 6)
+        x = sample_homodyne(0.0, 1.0, rng, 10 ** 6)
         assert abs(np.var(x) - 0.25) < 5 * math.sqrt(2 * 0.0625 / x.size)
 
     def test_homodyne_orthogonal_quadrature_mean_zero(self):
         rng = np.random.default_rng(5)
-        x = sample_homodyne(9.0, math.pi / 2, 0.0, rng, 10 ** 6)
+        x = sample_homodyne(9.0, math.cos(math.pi / 2), rng, 10 ** 6)
         assert abs(np.mean(x)) < 5 * math.sqrt(0.25 / x.size)
 
     def test_homodyne_sign_decision_matches_erfc(self):
         rng = np.random.default_rng(6)
         n, s = 10 ** 7, 2.0
-        x = sample_homodyne(s, 0.0, 0.0, rng, n)
+        x = sample_homodyne(s, 1.0, rng, n)
         p_hat = np.count_nonzero(x < 0) / n
         p = homodyne_antipodal(s).exact
         assert abs(p_hat - p) < 3 * math.sqrt(p * (1 - p) / n)
@@ -130,8 +131,11 @@ class TestKeyedDecisionIdentity:
     @pytest.mark.parametrize("s", [0.3, 7.0, 100.0])
     @pytest.mark.parametrize("m_count,d", [(1, 0), (2, 0), (32, 0), (32, 1), (32, 15)])
     def test_heterodyne_axis_sign(self, s, m_count, d):
-        _, _, theta_j, theta_m = self._trial_angles(m_count, d, 11)
-        far = sample_heterodyne(s, theta_j, theta_m, np.random.default_rng(12), self.N) < 0
+        j, m, theta_j, theta_m = self._trial_angles(m_count, d, 11)
+        table = np.pi * np.arange(2 * m_count) / m_count  # the kernel's phasor tables
+        cos, sin = np.cos(table), np.sin(table)
+        k = (j - m) % (2 * m_count)
+        far = sample_heterodyne(s, cos[k], cos[m], sin[m], np.random.default_rng(12), self.N) < 0
         rng = np.random.default_rng(12)
         g = rng.normal(scale=math.sqrt(0.5), size=self.N)
         g = g + 1j * rng.normal(scale=math.sqrt(0.5), size=self.N)
