@@ -26,7 +26,6 @@ import numpy as np
 
 from .cipher import Constellation, KeystreamGen, MAPPINGS, decode_lenient, encode
 from .keyrate import KEYRATE_EVE_STRATEGIES, key_rate, key_rate_vs_s
-from .montecarlo import SimConfig, run_simulation
 from .receivers import EVE_STRATEGIES, RECEIVER_KINDS, ReceiverModel, eve_nokey_helstrom
 
 MAGIC = b"Y00STRM1"
@@ -116,6 +115,10 @@ def cmd_eve_nokey(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # imported here so that the other commands do not load the Monte Carlo
+    # engine and its thread pool
+    from .montecarlo import SimConfig, run_simulation
+
     if args.workers < 1:
         raise UsageError("workers must be >= 1")
     try:
@@ -368,8 +371,8 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, OSError) as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
+    except (ValueError, ArithmeticError, OSError, MemoryError) as exc:
+        print(f"computation failed: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -113,16 +113,17 @@ def _circulant_gram_spectrum(s: float, n_points: int) -> np.ndarray:
     <alpha_j|alpha_k> = exp(S(e^{2 pi i (k-j)/N} - 1)) is circulant with
     eigenvalues lambda_q = N * sum_{n = q mod N} e^{-S} S^n / n!, the Poisson
     mass folded onto the residues mod N.  The Poisson terms are taken in the
-    log domain up to n = S + 40 sqrt(S) + 60, far past any representable tail.
+    log domain for n within S -+ (40 sqrt(S) + 60); every term outside that
+    window underflows to exactly 0, so it is skipped without changing lambda.
     Each log term carries a rounding error of order ulp(S ln S); rescaling the
     folded mass to its exact total of 1 keeps that from reaching p_e (4e-12
     at S=1e4 without it).
     """
-    n_max = int(math.ceil(s + 40.0 * math.sqrt(s) + 60.0))
+    spread = 40.0 * math.sqrt(s) + 60.0
+    photons = np.arange(max(0, int(s - spread)), int(math.ceil(s + spread)) + 1)
     log_s = math.log(s)
-    poisson = np.exp([n * log_s - s - math.lgamma(n + 1) for n in range(n_max + 1)])
-    folded = np.bincount(np.arange(n_max + 1) % n_points, weights=poisson,
-                         minlength=n_points)
+    poisson = np.exp([n * log_s - s - math.lgamma(n + 1) for n in photons.tolist()])
+    folded = np.bincount(photons % n_points, weights=poisson, minlength=n_points)
     return n_points * folded / folded.sum()
 
 
@@ -135,21 +136,36 @@ def eve_nokey_helstrom(s: float, constellation: Constellation) -> float:
     bit 0), rho_0 - rho_1 = sum_j c_j |alpha_j><alpha_j| shares its nonzero
     spectrum with G^{1/2} C G^{1/2}, G the circulant Gram matrix.  In the
     Fourier basis that diagonalises G this is the N x N Hermitian matrix
-    H_qr = sqrt(lambda_q lambda_r) * (1/N) sum_j c_j e^{2 pi i (q-r) j / N},
-    so the cost is one N x N eigen-solve, independent of S.
+    H_qr = sqrt(lambda_q lambda_r) * c_hat(q - r mod N), with
+    c_hat(d) = (1/N) sum_j c_j e^{2 pi i d j / N}.
+
+    Antipodal points carry opposite bits (c_{j+M} = -c_j), so c_hat vanishes
+    at even lags and H only couples even q to odd r: its eigenvalues are
+    +-sigma(B) for the even x odd block B, and p_e = 1/2 - 1/2 * sum sigma(B).
+    Both mappings are mirror-symmetric, so c_hat(d) e^{i pi d / N}, taken at
+    the signed lag d = q - r in (-N, N), is real at odd d up to one global
+    phase; the remaining factor e^{-i pi (q - r) / N} is a diagonal unitary
+    and leaves the singular values alone.  B is built only on the residues
+    with lambda_q > 1e-32 (at most 1e-32 of Poisson mass is dropped), about
+    25 sqrt(S) of them, so the cost grows like (sqrt S)^3 and stops growing
+    with M once M exceeds about 13 sqrt(S).
     """
     if not math.isfinite(s) or s < 0:
         raise ValueError("signal photon number must be finite and >= 0")
     n = constellation.num_points
     if s == 0.0:
         return 0.5  # only lambda_0 survives, and sum_j c_j = 0
-    sqrt_lam = np.sqrt(_circulant_gram_spectrum(s, n))
+    lam = _circulant_gram_spectrum(s, n)
     weights = (1.0 - 2.0 * constellation.point_bit(np.arange(n))) / constellation.m_bases
-    c_hat = np.fft.ifft(weights)  # (1/N) sum_j c_j e^{2 pi i d j / N}
-    q = np.arange(n)
-    h = np.outer(sqrt_lam, sqrt_lam) * c_hat[(q[:, None] - q[None, :]) % n]
-    eigs = np.linalg.eigvalsh(h)
-    p_e = 0.5 - 0.25 * float(np.sum(np.abs(eigs)))
+    lag = np.arange(1 - n, n)
+    kernel = np.fft.ifft(weights)[lag % n] * np.exp(1j * np.pi * lag / n)
+    kernel = (kernel * np.exp(-1j * np.angle(kernel[np.argmax(np.abs(kernel))]))).real
+    support = np.flatnonzero(lam > 1e-32)
+    even, odd = support[support % 2 == 0], support[support % 2 == 1]
+    block = kernel[np.subtract.outer(even, odd) + (n - 1)]
+    block *= np.sqrt(lam[even])[:, None]
+    block *= np.sqrt(lam[odd])
+    p_e = 0.5 - 0.5 * float(np.sum(np.linalg.svd(block, compute_uv=False)))
     return min(max(p_e, 0.0), 0.5)
 
 

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from alphaeta.cli import CHUNK_BYTES, build_parser, main
 from alphaeta.receivers import BER_LAWS, EVE_STRATEGIES
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
+READS_VMHWM = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 
 
 def run_cli(*argv):
@@ -25,6 +27,22 @@ def run_cli(*argv):
     with redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
+
+
+def run_child(*argv, probe="pass", timeout=120):
+    """Run main(argv), then probe, in a fresh interpreter; return (stdout, peak RSS in MB).
+
+    The peak is VmHWM, not ru_maxrss: a child's ru_maxrss starts from this
+    process's peak.
+    """
+    code = ("import sys; from alphaeta.cli import main; code = main(sys.argv[1:]); "
+            f"{probe}; "
+            "print([l for l in open('/proc/self/status') if l.startswith('VmHWM')][0], "
+            "file=sys.stderr); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(alphaeta.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, timeout=timeout, check=True)
+    return run.stdout, int(run.stderr.split()[-2]) / 1024  # "VmHWM: <n> kB"
 
 
 def parse_csv(text):
@@ -109,6 +127,43 @@ class TestEveNokey:
         _, rows = parse_csv(out)
         assert [r[0] for r in rows] == ["1", "64"]
         assert all(0.0 <= float(r[1]) <= 0.5 for r in rows)
+
+    @READS_VMHWM
+    def test_deployed_regime_fast_and_small(self):
+        """S=1e4, M=4096 (8192 points) in < 2 s and < 200 MB, start-up included."""
+        start = time.perf_counter()
+        out, peak_mb = run_child("eve-nokey", "--s", "1e4", "--m-list", "4096")
+        wall = time.perf_counter() - start
+        _, rows = parse_csv(out)
+        assert rows[0][0] == "4096" and 0.499 < float(rows[0][1]) <= 0.5
+        assert wall < 2.0 and peak_mb < 200
+
+    @READS_VMHWM
+    def test_largest_m_at_small_s_stays_small(self):
+        # 65536 points; only the ~60 residues that carry Poisson mass enter the solve
+        out, peak_mb = run_child("eve-nokey", "--s", "7", "--m-list", "32768")
+        assert parse_csv(out)[1][0][0] == "32768"
+        assert peak_mb < 100
+
+    @READS_VMHWM
+    def test_does_not_load_the_monte_carlo_engine(self):
+        loaded = ("print(sorted(m for m in ('alphaeta.montecarlo', 'concurrent.futures', "
+                  "'logging') if m in sys.modules))")
+        out, _ = run_child("eve-nokey", "--s", "7", "--m-list", "1,2", probe=loaded)
+        assert out.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("exc", [
+        MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000000,)"),
+        MemoryError()])
+    def test_out_of_memory_is_computation_error(self, monkeypatch, capsys, exc):
+        def exhausted(*args):
+            raise exc
+        monkeypatch.setattr("alphaeta.cli.eve_nokey_helstrom", exhausted)
+        code, out = run_cli("eve-nokey", "--s", "7", "--m-list", "32768")
+        err = capsys.readouterr().err
+        assert code == 1 and out == ""
+        assert err.startswith("computation failed: ") and err.count("\n") == 1
+        assert len(err.strip()) > len("computation failed:")
 
 
 class TestSimulate:
@@ -291,19 +346,12 @@ class TestEncryptDecrypt:
                            "--seed-key", "c0ffee11")[0] == 2
             assert src.read_bytes() == before
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    @READS_VMHWM
     def test_decrypt_memory_bounded_by_chunk(self, tmp_path):
         """A 1 MB decrypt peaks within 20 MB of a 1 kB one: the file is streamed."""
         def peak_rss_mb(ct):
-            # VmHWM, not ru_maxrss: the child's ru_maxrss starts from this process's peak
-            probe = ("import sys; from alphaeta.cli import main; code = main(sys.argv[1:]); "
-                     "print([l for l in open('/proc/self/status') if l.startswith('VmHWM')][0]); "
-                     "sys.exit(code)")
-            env = dict(os.environ, PYTHONPATH=str(Path(alphaeta.__file__).resolve().parents[1]))
-            run = subprocess.run([sys.executable, "-c", probe, "decrypt", "--input", str(ct),
-                                  "--output", str(ct) + ".out", "--seed-key", "c0ffee11"],
-                                 env=env, capture_output=True, text=True, timeout=120, check=True)
-            return int(run.stdout.split()[-2]) / 1024  # "VmHWM: <n> kB"
+            return run_child("decrypt", "--input", str(ct), "--output", str(ct) + ".out",
+                             "--seed-key", "c0ffee11")[1]
 
         small, large = tmp_path / "small", tmp_path / "large"
         small.mkdir()

@@ -68,7 +68,7 @@ DIGESTS = {
     "encrypt-m4-plain":
         "dc3aaf61a9d5725747388d714ff109107e1249e722430cd1f02ec9732a9110cb",
     "eve-nokey-csv":
-        "34e007199a3b7e28425aa637098bc269a9eaf85c37a3fdb626e8bab4d6b3dabb",
+        "120e3287b8147079aa98974204c934b97a602a7d2cc0b041a31457929735022b",
     "eve-nokey-plain":
         "d831de3b7975647b08645a3d74e957a9eae11f802fd7afd74b9ce33da8255a7e",
     "keyrate-p":

@@ -12,6 +12,7 @@ from alphaeta.receivers import (
     EVE_STRATEGIES,
     RECEIVER_KINDS,
     ReceiverModel,
+    _circulant_gram_spectrum,
     canonical_phase_antipodal,
     eve_nokey_helstrom,
     exponent_fit,
@@ -143,6 +144,46 @@ class TestEveDeferred:
                 key_rate_vs_s([1.0], strategy, 1e9)
 
 
+def full_gram_spectrum(s, n_points):
+    """Folded Poisson spectrum summed over every n from 0 to S + 40 sqrt(S) + 60."""
+    n_max = int(math.ceil(s + 40.0 * math.sqrt(s) + 60.0))
+    poisson = np.exp([n * math.log(s) - s - math.lgamma(n + 1) for n in range(n_max + 1)])
+    folded = np.bincount(np.arange(n_max + 1) % n_points, weights=poisson, minlength=n_points)
+    return n_points * folded / folded.sum()
+
+
+def dense_nokey_helstrom(s, const):
+    """Reference no-key bound: the full N x N Hermitian H in the Gram basis, N = 2M."""
+    n = const.num_points
+    sqrt_lam = np.sqrt(full_gram_spectrum(s, n))
+    weights = (1.0 - 2.0 * const.point_bit(np.arange(n))) / const.m_bases
+    c_hat = np.fft.ifft(weights)
+    q = np.arange(n)
+    h = np.outer(sqrt_lam, sqrt_lam) * c_hat[(q[:, None] - q[None, :]) % n]
+    p_e = 0.5 - 0.25 * float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+    return min(max(p_e, 0.0), 0.5)
+
+
+def mpmath_nokey_helstrom(s, const):
+    """40-digit no-key bound: mp.eighe on the Gram-basis H, Poisson mass summed exactly."""
+    with mp.workdps(40):
+        n = const.num_points
+        s = mp.mpf(s)
+        mass, term = [mp.mpf(0)] * n, mp.exp(-s)
+        for k in range(int(s + 20 * mp.sqrt(s) + 40)):
+            mass[k % n] += term
+            term *= s / (k + 1)
+        c = [mp.mpf(1 - 2 * const.point_bit(j)) / const.m_bases for j in range(n)]
+        c_hat = [mp.fsum(c[j] * mp.expjpi(mp.mpf(2 * d * j) / n) for j in range(n)) / n
+                 for d in range(n)]
+        h = mp.matrix(n, n)
+        for q in range(n):
+            for r in range(n):
+                h[q, r] = n * mp.sqrt(mass[q] * mass[r]) * c_hat[(q - r) % n]
+        eigs = mp.eighe(h, eigvals_only=True)
+        return mp.mpf(1) / 2 - mp.fsum(abs(e) for e in eigs) / 4
+
+
 class TestEveNokey:
     def test_s0_any_m(self):
         assert eve_nokey_helstrom(0.0, Constellation(8)) == pytest.approx(0.5, abs=1e-10)
@@ -187,6 +228,42 @@ class TestEveNokey:
         # S=1e4 underflows e^{-S/2}; the Gram spectrum needs no Fock cutoff
         p64, p256 = (eve_nokey_helstrom(1e4, Constellation(m)) for m in (64, 256))
         assert 0.0 <= p64 <= p256 <= 0.5
+
+    @pytest.mark.parametrize("s", [0.5, 7.0, 100.0, 1e3, 1e4, 1e5])
+    def test_windowed_spectrum_equals_the_full_sum(self, s):
+        # the terms below S - 40 sqrt(S) - 60 underflow to 0, so skipping them changes no bit
+        for n_points in (2, 16, 128, 1024):
+            assert np.array_equal(_circulant_gram_spectrum(s, n_points),
+                                  full_gram_spectrum(s, n_points))
+
+    @pytest.mark.parametrize("mapping", ["alternating", "plain"])
+    @pytest.mark.parametrize("s", [0.5, 7.0, 100.0, 1e3, 1e4])
+    def test_block_svd_matches_dense_reference(self, s, mapping):
+        for m in [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]:
+            const = Constellation(m, mapping)
+            assert eve_nokey_helstrom(s, const) == pytest.approx(
+                dense_nokey_helstrom(s, const), abs=1e-14)
+
+    def test_support_cut_drops_residues_at_s1e3_m512(self):
+        # the case above where the block is built on fewer than the 2M residues
+        assert 0 < np.count_nonzero(_circulant_gram_spectrum(1e3, 1024) > 1e-32) < 1024
+
+    @pytest.mark.parametrize("mapping", ["alternating", "plain"])
+    def test_deployed_regime_matches_dense_reference(self, mapping):
+        const = Constellation(1024, mapping)
+        p = eve_nokey_helstrom(1e4, const)
+        assert p == pytest.approx(dense_nokey_helstrom(1e4, const), abs=1e-14)
+        if mapping == "alternating":
+            assert p == pytest.approx(0.49948326204809856, abs=1e-14)
+
+    @pytest.mark.parametrize("s, m, mapping", [
+        (7.0, 2, "alternating"), (7.0, 4, "alternating"), (7.0, 8, "alternating"),
+        (30.0, 4, "plain"), (30.0, 16, "plain")])
+    def test_matches_mpmath_oracle(self, s, m, mapping):
+        # the golden eve-nokey cases; the float path is within 6e-17 of 40 digits here
+        const = Constellation(m, mapping)
+        oracle = mpmath_nokey_helstrom(s, const)
+        assert abs(eve_nokey_helstrom(s, const) - float(oracle)) <= 5e-16
 
     @pytest.mark.parametrize("s", [-1.0, math.inf, math.nan])
     def test_rejects_bad_signal(self, s):
