@@ -70,7 +70,8 @@ def _scalar_or_array(x):
 
 def encode(bit, basis, c: Constellation):
     """Point basis + (bit ^ polarity(basis)) * M; accepts scalars or equal-length arrays."""
-    bit, basis = np.asarray(bit), np.asarray(basis)
+    bit = np.asarray(bit).astype(np.int64, casting="safe", copy=False)  # promotes the sum
+    basis = np.asarray(basis)
     if bit.size and (bit.min() < 0 or bit.max() > 1):
         raise ValueError("bits must be 0 or 1")
     if basis.size and (basis.min() < 0 or basis.max() >= c.m_bases):
@@ -95,7 +96,7 @@ def decode_lenient(j, basis, c: Constellation):
     Accepts scalars or equal-length integer arrays.
     """
     basis = np.asarray(basis)
-    half = (np.asarray(j) - basis) % (2 * c.m_bases) // c.m_bases
+    half = np.subtract(j, basis, dtype=np.int64) % (2 * c.m_bases) // c.m_bases
     half ^= c.polarity(basis)
     return _scalar_or_array(half)
 
@@ -205,14 +206,15 @@ class KeystreamGen:
         return buf[head - d:head - d + n]
 
     def bases(self, m_bases: int, count: int) -> np.ndarray:
-        """Next count basis indices, each log2(M) keystream bits read big-endian."""
+        """Next count basis indices, each log2(M) keystream bits read big-endian; as
+        uint16 up to M = 2^16 (faster than int64), so callers promote before arithmetic."""
         if not _is_power_of_two(m_bases):
             raise ValueError(f"M must be a power of two, got {m_bases}")
         k = m_bases.bit_length() - 1
         if k == 0:
-            return np.zeros(count, dtype=np.int64)
+            return np.zeros(count, dtype=np.uint16)
         bits = self.bits(count * k).reshape(count, k)
-        out = np.zeros(count, dtype=np.int64)
+        out = np.zeros(count, dtype=np.uint16 if k <= 16 else np.int64)
         for col in range(k):  # column by column: no count*k int64 copy
             out <<= 1
             out |= bits[:, col]

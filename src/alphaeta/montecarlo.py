@@ -1,12 +1,9 @@
 """End-to-end Monte Carlo engine for the keyed-constellation link.
 
-Quadrature convention: x = (a + a^dag)/2, vacuum variance 1/4 per
-quadrature.  Homodyne sees that vacuum noise directly; heterodyne pays
-one extra vacuum unit, i.e. variance 1/2 per quadrature.  With this
-convention the antipodal BERs are 1/2 erfc(sqrt(2S)) and 1/2 erfc(sqrt(S)).
-
-Keyed receivers decide on the axis quadrature (heterodyne, homodyne) or the CDF
-interval of the phase half-plane; keyless nearest-point Eve samples the phase.
+A keyed receiver's error depends only on the sent point's offset from the basis
+axis, so each keyed trial is one uniform draw against a per-offset error table
+built once per run from the receiver's law; keyless nearest-point Eve samples
+the canonical phase.
 
 Trials run in fixed batches of 65536; batch i draws from an RNG stream
 keyed by (master_seed, i) and takes the keystream's i-th slice of bases,
@@ -27,7 +24,7 @@ import numpy as np
 
 from .cipher import Constellation, KeystreamGen, dsr_offset, encode
 from .fock import CoherentVec, coherent_amplitudes, phase_distribution, wrap_angle
-from .receivers import EVE_STRATEGIES, ReceiverModel, helstrom_pure_antipodal
+from .receivers import BER_LAWS, EVE_STRATEGIES, ReceiverModel
 
 BATCH_SIZE = 1 << 16
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -41,7 +38,9 @@ def wilson_interval(errors: int, trials: int, z: float = WILSON_Z99) -> tuple[fl
     denom = 1.0 + z * z / trials
     center = (p_hat + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / trials + z * z / (4.0 * trials * trials))
-    return max(0.0, center - half), min(1.0, center + half)
+    # at 0 or all errors center -+ half is 0 or 1 only up to rounding
+    return (0.0 if errors == 0 else max(0.0, center - half),
+            1.0 if errors == trials else min(1.0, center + half))
 
 
 @dataclass(frozen=True)
@@ -120,30 +119,16 @@ class TrialReport:
         }
 
 
-def sample_heterodyne(s: float, cos_offset, cos_axis, sin_axis, rng: np.random.Generator,
-                      size: int | None = None):
-    """Re(z e^{-i phi_axis}) of z = sqrt(S) e^{i phi_signal} + g, Var Re g = Var Im g = 1/2.
-
-    Takes phasors, not angles: cos_offset = cos(phi_signal - phi_axis) and the
-    axis's cos and sin, so a caller with angles pi k/M gathers them from a table.
-    """
-    g_re = rng.normal(scale=math.sqrt(0.5), size=size)
-    g_im = rng.normal(scale=math.sqrt(0.5), size=size)
-    return math.sqrt(s) * cos_offset + g_re * cos_axis + g_im * sin_axis
-
-
-def sample_homodyne(s: float, cos_offset, rng: np.random.Generator, size: int | None = None):
-    """Homodyne outcome x = sqrt(S) cos_offset + g, Var g = 1/4, with cos_offset =
-    cos(phi_signal - phi_lo)."""
-    return math.sqrt(s) * cos_offset + rng.normal(scale=0.5, size=size)
-
-
 class PhaseSampler:
-    """Inverse-CDF sampler for the canonical phase distribution of a state."""
+    """Inverse-CDF sampler for the canonical phase distribution of a state.
+
+    The CDF is the trapezoid integral of the density on its periodic grid, so it
+    is exactly as symmetric as the density.
+    """
 
     def __init__(self, v: CoherentVec, resolution: int = 1 << 16):
         dist = phase_distribution(v, resolution)
-        mass = dist.density * dist.spacing
+        mass = (dist.density + np.roll(dist.density, -1)) * (dist.spacing / 2)
         cdf = np.concatenate(([0.0], np.cumsum(mass)))
         cdf /= cdf[-1]
         self._cdf = cdf
@@ -152,56 +137,60 @@ class PhaseSampler:
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return np.interp(rng.random(size), self._cdf, self._edges)
 
-    def half_planes(self, m_count: int) -> tuple[np.ndarray, np.ndarray]:
-        """CDF-space (lo, width) per offset k < 2M: F is monotone, so phi = F^-1(u) of
-        `sample` plus pi k/M is within pi/2 of the axis iff (u - lo[k]) mod 1 <= width[k]."""
-        def cdf(x):  # periodic extension, F(x + 2 pi) = F(x) + 1
-            turns = np.floor((x + np.pi) / (2 * np.pi))
-            return turns + np.interp(x - 2 * np.pi * turns, self._edges, self._cdf)
+    def far_mass(self, delta):
+        """Mass beyond the half-plane of a state at phase 0 turned by delta in [0, pi/2].
 
-        start = -np.pi / 2 - np.pi * np.arange(2 * m_count) / m_count
-        lo = cdf(start)
-        return lo % 1.0, cdf(start + np.pi) - lo
+        The far arc is (pi/2 - delta, 3 pi/2 - delta); the density is even, so its
+        mass is F(-pi/2 - delta) + F(-pi/2 + delta), with no 1 - F cancellation.
+        """
+        return np.interp(-np.pi / 2 - delta, self._edges, self._cdf) + \
+            np.interp(-np.pi / 2 + delta, self._edges, self._cdf)
+
+
+def offset_error_table(kind: str, s: float, m_count: int,
+                       sampler: PhaseSampler | None) -> np.ndarray:
+    """p_err[k]: keyed receiver `kind` decides on the wrong side of the basis axis when
+    the sent point lies k steps of pi/M from it, k < 2M.
+
+    It depends only on the point's angle delta = pi i/M from the axis line,
+    i = min(k mod M, M - k mod M) <= M/2.  A Gaussian outcome errs with its
+    receiver's law at the projected signal S cos^2 delta (one law call per i;
+    "optimal" only meets delta = 0, where its law is the Helstrom flip); the
+    phase receiver errs with the density mass beyond the half-plane.
+    """
+    delta = np.pi * np.arange(m_count // 2 + 1) / m_count
+    if kind == "phase":
+        per_angle = sampler.far_mass(delta)
+    else:
+        law = BER_LAWS[kind]
+        per_angle = np.array([law(s * math.cos(x) ** 2, None).exact for x in delta.tolist()])
+    steps = np.arange(2 * m_count) % m_count
+    return per_angle[np.minimum(steps, m_count - steps)]
 
 
 def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | None,
-               planes, phasors, p_flip: float, batch: int, m: np.ndarray) -> tuple[int, int]:
+               tables: dict[str, np.ndarray], batch: int, m: np.ndarray) -> tuple[int, int]:
     """Bob's and Eve's error counts over batch `batch`, whose keyed bases are m."""
     m_count = cfg.m_bases
     n = m.size
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
 
     bits = rng.integers(0, 2, size=n, dtype=np.int64)
-    sent = encode(bits, m, const)
-    sent_far = sent >= m_count  # the bit sits on point m+M of its pair, not on m
-    j = dsr_offset(rng, cfg.dsr_d, sent, m_count)
+    j = dsr_offset(rng, cfg.dsr_d, encode(bits, m, const), m_count)
     k = (j - m) & (2 * m_count - 1)  # sent point's offset from the axis, mod 2M = 2^b
-    cos_tab, sin_tab = phasors  # cos and sin of pi i/M for i < 2M
 
     def errors(kind: str | None) -> int:
         """Wrong decisions of receiver `kind`: the one decision kernel of Bob and Eve.
 
-        A keyed receiver picks the point of the pair (m, m+M) on whose side of
-        the basis axis its outcome falls; "optimal" errs with the Helstrom
-        probability.  kind None has no key: it snaps a canonical-phase outcome
-        to the nearest of all 2M points and reads that point's bit.
+        A keyed receiver errs with the probability p_err[k] of its table: one
+        uniform draw per trial.  kind None has no key: it snaps a canonical-phase
+        outcome to the nearest of all 2M points and reads that point's bit.
         """
-        if kind == "optimal":
-            return int(np.count_nonzero(rng.random(n) < p_flip))
         if kind is None:
             phi_hat = wrap_angle(sampler.sample(rng, n) + np.pi * j / m_count)
             j_hat = np.rint(phi_hat * m_count / np.pi).astype(np.int64) % (2 * m_count)
             return int(np.count_nonzero(const.point_bit(j_hat) != bits))
-        if kind == "phase":
-            cdf_lo, cdf_width = planes
-            u = rng.random(n) - cdf_lo[k]
-            u += u < 0  # mod 1, as both terms lie in [0, 1); a float % is 3x slower
-            far = u > cdf_width[k]
-        elif kind == "heterodyne":
-            far = sample_heterodyne(cfg.s, cos_tab[k], cos_tab[m], sin_tab[m], rng, n) < 0
-        else:
-            far = sample_homodyne(cfg.s, cos_tab[k], rng, n) < 0
-        return int(np.count_nonzero(far != sent_far))
+        return int(np.count_nonzero(rng.random(n) < tables[kind][k]))
 
     bob_err = errors(cfg.bob_receiver.kind)
     eve_err = errors(EVE_STRATEGIES[cfg.eve_strategy]) if cfg.eve_strategy != "none" else 0
@@ -221,15 +210,12 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
     gen = KeystreamGen.from_hex(cfg.seed_key)
 
     eve_kind = EVE_STRATEGIES.get(cfg.eve_strategy)
-    needs_phase = cfg.bob_receiver.kind == "phase" or \
-        (cfg.eve_strategy != "none" and eve_kind in ("phase", None))
+    keyed = {cfg.bob_receiver.kind, eve_kind} - {None}
+    needs_phase = "phase" in keyed or (cfg.eve_strategy != "none" and eve_kind is None)
     sampler = PhaseSampler(coherent_amplitudes(cfg.s, 0.0)) if needs_phase else None
-    planes = sampler.half_planes(cfg.m_bases) if needs_phase else None
-    angles = np.pi * np.arange(2 * cfg.m_bases) / cfg.m_bases
-    phasors = np.cos(angles), np.sin(angles)
-    p_flip = helstrom_pure_antipodal(cfg.s).exact
+    tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler) for kind in keyed}
 
-    task = partial(_run_batch, cfg, const, sampler, planes, phasors, p_flip)
+    task = partial(_run_batch, cfg, const, sampler, tables)
     counts = []
     in_flight = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -242,8 +228,14 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
     bob_err = sum(c[0] for c in counts)
     eve_err = sum(c[1] for c in counts)
 
-    analytic_bob = cfg.bob_receiver.law(cfg.s).exact
-    analytic_eve = ReceiverModel(eve_kind).law(cfg.s).exact if eve_kind else None
+    def analytic(model: ReceiverModel) -> float:
+        """The receiver's law, averaged over the DSR offsets when there are any."""
+        if cfg.dsr_d == 0:
+            return model.law(cfg.s).exact
+        return float(np.mean(tables[model.kind][np.arange(-cfg.dsr_d, cfg.dsr_d + 1)]))
+
+    analytic_bob = analytic(cfg.bob_receiver)
+    analytic_eve = analytic(ReceiverModel(eve_kind)) if eve_kind else None
 
     eve = BerEstimate.from_counts(eve_err, cfg.trials) if cfg.eve_strategy != "none" else None
     return TrialReport(cfg, BerEstimate.from_counts(bob_err, cfg.trials), eve,

@@ -221,6 +221,13 @@ class TestKeystreamGen:
         bits = KeystreamGen.from_hex("c0ffee").bits(800).reshape(200, 4)
         assert bulk.tolist() == [int("".join(map(str, row)), 2) for row in bits]
 
+    @pytest.mark.parametrize("m_exp", [1, 8, 9, 15, 16, 17, 20])
+    def test_bases_are_big_endian_bits_at_every_width(self, m_exp):
+        # across the uint16 -> int64 switch at M = 2^16 the values must not change
+        bulk = KeystreamGen.from_hex("c0ffee").bases(1 << m_exp, 300)
+        bits = KeystreamGen.from_hex("c0ffee").bits(300 * m_exp).reshape(300, m_exp)
+        assert bulk.tolist() == [int("".join(map(str, row)), 2) for row in bits.tolist()]
+
     def test_interleaved_calls_deterministic(self):
         g1 = KeystreamGen.from_hex("77")
         g2 = KeystreamGen.from_hex("77")

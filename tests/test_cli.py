@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tempfile
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -13,9 +14,12 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import alphaeta
-from alphaeta.cli import CHUNK_BYTES, build_parser, main
+from alphaeta.cipher import MAPPINGS
+from alphaeta.cli import CHUNK_BYTES, MAX_M, build_parser, main
 from alphaeta.receivers import BER_LAWS, EVE_STRATEGIES
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
@@ -359,6 +363,23 @@ class TestEncryptDecrypt:
         _, small_ct, _ = self._roundtrip(small, 1000)
         _, large_ct, _ = self._roundtrip(large, 1_000_000)
         assert peak_rss_mb(large_ct) < peak_rss_mb(small_ct) + 20
+
+    @settings(max_examples=30, deadline=None)
+    @given(nbytes=st.builds(lambda chunks, off: max(0, chunks * CHUNK_BYTES + off),
+                            st.integers(0, 2), st.integers(-2, 2)),
+           m_exp=st.integers(0, MAX_M.bit_length() - 1), mapping=st.sampled_from(MAPPINGS),
+           key=st.integers(1, 2 ** 32 - 1), seed=st.integers(0, 2 ** 32 - 1))
+    def test_round_trip_across_chunks_is_identity(self, nbytes, m_exp, mapping, key, seed):
+        """Every power-of-two M up to the u16 limit, both mappings, any nonzero key."""
+        data = np.random.default_rng(seed).bytes(nbytes)
+        with tempfile.TemporaryDirectory() as tmp:
+            pt, ct, rt = (Path(tmp) / name for name in ("pt.bin", "ct.bin", "rt.bin"))
+            pt.write_bytes(data)
+            flags = ["--seed-key", f"{key:x}"]
+            assert run_cli("encrypt", "--input", str(pt), "--output", str(ct), *flags,
+                           "--m", str(1 << m_exp), "--mapping", mapping)[0] == 0
+            assert run_cli("decrypt", "--input", str(ct), "--output", str(rt), *flags)[0] == 0
+            assert rt.read_bytes() == data
 
     def test_garbage_input_is_computation_error(self, tmp_path):
         bad = tmp_path / "garbage.bin"

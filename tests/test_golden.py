@@ -7,11 +7,13 @@ RNG draw, say) must update the affected digests and say why in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from alphaeta.cli import main
+from alphaeta.montecarlo import wilson_interval
 
 SIM = ["simulate", "--s", "2", "--m", "16", "--trials", "70000", "--master-seed", "3"]
 
@@ -78,21 +80,21 @@ DIGESTS = {
     "keyrate-s-het":
         "366a53b759f9ccda65f6576824d1d90b57338cec71a5d556ad8fd975ccec9fb3",
     "sim-heterodyne-hetdeferred":
-        "e2f3e84cab54b45fb67a16830fae5c82ecfa2a6e50bdd6d28c82ad5d9f0da304",
+        "b4d14199b0aa985fd44d1405ae0921a5ee69c6e7aadb36d5c73473416db45cae",
     "sim-heterodyne-hetdeferred-w2":
-        "e2f3e84cab54b45fb67a16830fae5c82ecfa2a6e50bdd6d28c82ad5d9f0da304",
+        "b4d14199b0aa985fd44d1405ae0921a5ee69c6e7aadb36d5c73473416db45cae",
     "sim-homodyne-phasedeferred-plain":
-        "1f3409a9966e54cb0c077913769f1c6ecd0531abfa644be23f414f6b829dbb89",
+        "4b923551c6aeeabc61cf2c4c25e0ac34f95808445a52015b6bafd566e30bdbac",
     "sim-optimal":
         "206552ec7e6df27f78ff5c9aa0618a43cfa785b2dbe77645024032c43ba37ac7",
     "sim-optimal-hetdeferred-plain":
-        "023858f27fdf2d6dd00389df98527e826aae0e2474f6c225b51fe606f64f8c4b",
+        "2b2e569b2f35a4a6320f1deae6bc4f52e9b1f2824c954b821ca6813fd3f821b6",
     "sim-phase-dsr":
-        "87289fd37dc6383f9e89b4ffa028c5ce46f933c646aaa502571ddf2ab9d5e066",
+        "50c7abca8aac5ceba289f0777ba61c887e26b943ddb76c4243bf15eba2190859",
     "sim-phase-nearest":
-        "6f1ff00502ff9b072b6221b816794dba0fa371060b8fdc0c071130c8bc881261",
+        "54eaa8596ae909cb17fd62681b4f499aa7f0d314536d092a5422f7d9040421ff",
     "sim-phase-nearest-plain-w2":
-        "261b57644b162cccf494af7d4297358defe3e3bc6076563873eeb60481840167",
+        "a49dee7dfc4cc194e69a00d272a5a45cde819cd36e49ac6e2cbc295d620feb2d",
 }
 
 
@@ -123,6 +125,18 @@ def cipher_outputs(tmp_path, m, mapping) -> dict[str, bytes]:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_digest(tmp_path, name):
     assert _sha(run_to_file(CASES[name], tmp_path / "out")) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CASES if n.startswith("sim-")))
+def test_simulate_estimates_cover_analytic_law(tmp_path, name):
+    """Each pinned report is one a correct program can give: its estimates cover
+    the analytic laws at z=5."""
+    doc = json.loads(run_to_file(CASES[name], tmp_path / "out"))
+    for who in ("bob", "eve"):
+        if doc[f"analytic_{who}"] is None:  # no eavesdropper, or nearest-point (no law)
+            continue
+        low, high = wilson_interval(doc[who]["errors"], doc[who]["trials"], 5.0)
+        assert low <= doc[f"analytic_{who}"] <= high, who
 
 
 @pytest.mark.parametrize("m,mapping", CIPHERS)

@@ -12,18 +12,19 @@ from alphaeta.montecarlo import (
     BerEstimate,
     PhaseSampler,
     SimConfig,
+    offset_error_table,
     run_simulation,
-    sample_heterodyne,
-    sample_homodyne,
     wilson_interval,
 )
 from alphaeta.receivers import (
+    BER_LAWS,
     ReceiverModel,
     canonical_phase_antipodal,
     helstrom_pure_antipodal,
     heterodyne_antipodal,
     homodyne_antipodal,
 )
+from keyed_reference import half_planes, sample_heterodyne, sample_homodyne
 
 
 class TestWilson:
@@ -41,6 +42,12 @@ class TestWilson:
         est = BerEstimate.from_counts(5, 100)
         assert est.p_hat == 0.05
         assert est.ci_low < 0.05 < est.ci_high
+
+    @pytest.mark.parametrize("trials", [1, 7, 1000, 65536, 10 ** 7])
+    def test_bounds_exact_at_no_or_all_errors(self, trials):
+        # a rounded 1e-18 lower bound would exclude a true rate of 1e-40
+        assert wilson_interval(0, trials, 5.0)[0] == 0.0
+        assert wilson_interval(trials, trials, 5.0)[1] == 1.0
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
@@ -116,44 +123,86 @@ class TestSamplers:
 
 
 class TestKeyedDecisionIdentity:
-    """The keyed kernels give, trial by trial and from the same draws, the
-    decisions of the complex heterodyne rotation and of the inverted phase."""
+    """The one-draw table decision has, offset by offset, the law of the sampled
+    keyed receivers of keyed_reference: the heterodyne and homodyne axis sign
+    and the inverse-CDF phase half-plane."""
 
     N = 1 << 16
+    ALPHA = 2 * stats.norm.sf(5.0)  # the two-sided z=5 level
 
-    def _trial_angles(self, m_count, d, seed):
+    def _trials(self, m_count, d, seed):
+        """Bases m, the dithered sent points j, their offsets k and whether the bit
+        sits on point m+M of its pair."""
         rng = np.random.default_rng([seed, m_count, d])
         m = rng.integers(0, m_count, self.N)
-        sent = m + m_count * rng.integers(0, 2, self.N)
-        j = (sent + rng.integers(-d, d + 1, self.N)) % (2 * m_count)
-        return j, m, np.pi * j / m_count, np.pi * m / m_count
+        sent_far = rng.integers(0, 2, self.N).astype(bool)
+        j = (m + m_count * sent_far + rng.integers(-d, d + 1, self.N)) % (2 * m_count)
+        return j, m, (j - m) % (2 * m_count), sent_far
+
+    def _assert_covers(self, table, k, wrong):
+        """Per offset k, the sampled error count passes the exact two-sided binomial
+        test of p_err[k] at the z=5 level.  Not the Wilson interval: with ~1000 trials
+        an offset, one error at p = 3e-5 (a 3% event) falls outside its z=5 bound."""
+        for offset in np.unique(k):
+            trials = k == offset
+            test = stats.binomtest(int(np.count_nonzero(wrong[trials])),
+                                   int(np.count_nonzero(trials)), float(table[offset]))
+            assert test.pvalue >= self.ALPHA, offset
 
     @pytest.mark.parametrize("s", [0.3, 7.0, 100.0])
     @pytest.mark.parametrize("m_count,d", [(1, 0), (2, 0), (32, 0), (32, 1), (32, 15)])
     def test_heterodyne_axis_sign(self, s, m_count, d):
-        j, m, theta_j, theta_m = self._trial_angles(m_count, d, 11)
-        table = np.pi * np.arange(2 * m_count) / m_count  # the kernel's phasor tables
-        cos, sin = np.cos(table), np.sin(table)
-        k = (j - m) % (2 * m_count)
+        j, m, k, sent_far = self._trials(m_count, d, 11)
+        angle = np.pi * np.arange(2 * m_count) / m_count
+        cos, sin = np.cos(angle), np.sin(angle)
         far = sample_heterodyne(s, cos[k], cos[m], sin[m], np.random.default_rng(12), self.N) < 0
-        rng = np.random.default_rng(12)
-        g = rng.normal(scale=math.sqrt(0.5), size=self.N)
-        g = g + 1j * rng.normal(scale=math.sqrt(0.5), size=self.N)
-        z = math.sqrt(s) * np.exp(1j * theta_j) + g
-        np.testing.assert_array_equal(far, np.real(z * np.exp(-1j * theta_m)) < 0)
+        self._assert_covers(offset_error_table("heterodyne", s, m_count, None), k,
+                            far != sent_far)
+
+    @pytest.mark.parametrize("s", [0.3, 7.0, 100.0])
+    @pytest.mark.parametrize("m_count,d", [(1, 0), (2, 0), (32, 0), (32, 1), (32, 15)])
+    def test_homodyne_axis_sign(self, s, m_count, d):
+        j, m, k, sent_far = self._trials(m_count, d, 15)
+        far = sample_homodyne(s, np.cos(np.pi * k / m_count), np.random.default_rng(16),
+                              self.N) < 0
+        self._assert_covers(offset_error_table("homodyne", s, m_count, None), k,
+                            far != sent_far)
 
     @pytest.mark.parametrize("s", [0.3, 7.0, 100.0])
     @pytest.mark.parametrize("m_count,d", [(1, 0), (2, 0), (32, 0), (32, 1), (32, 15)])
     def test_phase_cdf_interval(self, s, m_count, d):
         sampler = PhaseSampler(coherent_amplitudes(s, 0.0))
-        lo, width = sampler.half_planes(m_count)
-        j, m, theta_j, theta_m = self._trial_angles(m_count, d, 13)
-        u = np.random.default_rng(14).random(self.N)
-        k = (j - m) % (2 * m_count)
-        far = (u - lo[k]) % 1.0 > width[k]
-        phi = np.interp(u, sampler._cdf, sampler._edges)
-        np.testing.assert_array_equal(far, np.cos(wrap_angle(phi + theta_j) - theta_m) < 0)
-        assert np.all((0 <= lo) & (lo < 1) & (0 <= width) & (width <= 1))
+        j, m, k, sent_far = self._trials(m_count, d, 13)
+        phi = sampler.sample(np.random.default_rng(14), self.N) + np.pi * j / m_count
+        far = np.cos(phi - np.pi * m / m_count) < 0
+        self._assert_covers(offset_error_table("phase", s, m_count, sampler), k,
+                            far != sent_far)
+
+    @pytest.mark.parametrize("kind", ["heterodyne", "homodyne", "optimal"])
+    @pytest.mark.parametrize("s", [0.0, 0.3, 7.0, 100.0])
+    @pytest.mark.parametrize("m_count", [1, 2, 32, 4096])
+    def test_gaussian_table_is_law_at_projected_signal(self, kind, s, m_count):
+        table = offset_error_table(kind, s, m_count, None)
+        law = BER_LAWS[kind]
+        for k in range(2 * m_count):
+            steps = min(k % m_count, m_count - k % m_count)  # to the axis line
+            assert table[k] == law(s * math.cos(math.pi * steps / m_count) ** 2, None).exact
+            assert table[k] == pytest.approx(
+                law(s * math.cos(math.pi * k / m_count) ** 2, None).exact, rel=1e-12)
+        assert table[0] == table[m_count] == ReceiverModel(kind).law(s).exact
+
+    @pytest.mark.parametrize("s", [0.0, 0.3, 7.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("m_count", [1, 2, 32, 4096])
+    def test_phase_table_is_far_half_plane_cdf_mass(self, s, m_count):
+        sampler = PhaseSampler(coherent_amplitudes(s, 0.0))
+        table = offset_error_table("phase", s, m_count, sampler)
+        lo, width = half_planes(sampler, m_count)  # near side: (u - lo) mod 1 <= width
+        cos = np.cos(np.pi * np.arange(2 * m_count) / m_count)
+        sided = np.abs(cos) > 1e-9  # a point on the axis line has no side
+        far_mass = np.where(cos < 0, width, 1.0 - width)
+        np.testing.assert_allclose(table[sided], far_mass[sided], rtol=0, atol=1e-13)
+        assert table[0] == table[m_count] == pytest.approx(
+            canonical_phase_antipodal(s, 1 << 16).exact, rel=1e-4, abs=1e-15)
 
 
 def _cfg(**kw):
