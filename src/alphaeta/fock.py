@@ -1,8 +1,8 @@
-"""Coherent-state numerics in a truncated Fock basis.
+"""Coherent-state numerics on one photon-number window.
 
-All states are represented by their photon-number amplitudes c_n for
-n = 0..n_trunc.  Everything here is a pure function of its inputs; the
-returned containers are frozen and safe to share across threads.
+Every amplitude of |sqrt(S)> outside n in S -+ (40 sqrt(S) + 60) is below
+1e-80, so that window is the whole state at any S.  The density-matrix
+helpers are the dense reference that the no-key bound is tested against.
 """
 
 from __future__ import annotations
@@ -12,16 +12,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-TRUNCATION_TOL = 1e-12
+LOG_TINY = math.log(np.finfo(float).tiny)  # log of the smallest normal double
 
 
-class TruncationError(ValueError):
-    """The Fock-space cutoff fails to capture the state to tolerance."""
+def photon_window(s: float) -> np.ndarray:
+    """Photon numbers n within S -+ (40 sqrt(S) + 60), clipped at 0.  Every Poisson
+    term outside is below 1e-160; those below a window starting above 0 are 0."""
+    spread = 40.0 * math.sqrt(s) + 60.0
+    return np.arange(max(0, int(s - spread)), int(math.ceil(s + spread)) + 1)
 
 
-def default_truncation(mean_photons: float) -> int:
-    """Cutoff keeping the Poisson tail below 1e-12 (validated by tests, not trusted)."""
-    return int(math.ceil(mean_photons + 10.0 * math.sqrt(mean_photons) + 20.0))
+def log_poisson(s: float, n: int) -> float:
+    """ln(e^{-S} S^n / n!) for S > 0."""
+    return n * math.log(s) - s - math.lgamma(n + 1)
 
 
 def wrap_angle(phi):
@@ -32,21 +35,43 @@ def wrap_angle(phi):
     return wrapped
 
 
-@dataclass(frozen=True)
-class CoherentVec:
-    """Truncated amplitude vector of |alpha> with alpha = sqrt(S) * e^{i*phase}."""
+def coherent_amplitudes(s: float) -> tuple[np.ndarray, np.ndarray]:
+    """(n, c): the real amplitudes c_n = e^{-S/2} S^{n/2} / sqrt(n!) of |sqrt S> on
+    the photon window.
 
-    coeffs: np.ndarray
-    mean_photons: float
-    phase: float
+    The first amplitude that is a normal double is taken in the log domain
+    (exactly e^{-S/2} when the window starts at n = 0), the subnormal ones before
+    it are 0, and the rest follow by the recursion c_{n+1} = c_n sqrt(S) / sqrt(n+1).
+    """
+    if not math.isfinite(s) or s < 0:
+        raise ValueError(f"mean photon number must be finite and >= 0, got {s}")
+    photons = photon_window(s)
+    if s == 0.0:
+        first, log_lead = 0, 0.0  # the vacuum
+    else:
+        log_c = (0.5 * log_poisson(s, n) for n in photons.tolist())
+        first, log_lead = next((i, x) for i, x in enumerate(log_c) if x >= LOG_TINY)
+    root = math.sqrt(s)
+    c = [0.0] * first + [math.exp(log_lead)]
+    for n in photons[first:-1].tolist():
+        c.append(c[-1] * root / math.sqrt(n + 1))
+    return photons, np.array(c)
 
-    @property
-    def n_trunc(self) -> int:
-        return len(self.coeffs) - 1
 
-    @property
-    def norm_residual(self) -> float:
-        return 1.0 - float(np.sum(np.abs(self.coeffs) ** 2))
+def phase_distribution(s: float, resolution: int) -> np.ndarray:
+    """Canonical phase density P(phi_k) = |sum_n c_n e^{-i n phi_k}|^2 / 2pi of |sqrt S>.
+
+    On the grid phi_k = -pi + 2 pi k / resolution the trapezoid integral of the
+    density is exactly 1 (Parseval), and e^{-i n phi_k} = (-1)^n e^{-2 pi i n k /
+    resolution} repeats in n with period resolution (even): the amplitudes are
+    folded mod resolution and one FFT gives the exact grid values at any S.
+    """
+    if resolution < 1024 or resolution % 2:
+        raise ValueError("resolution must be an even number >= 1024")
+    photons, coeffs = coherent_amplitudes(s)
+    folded = np.bincount(photons % resolution, weights=coeffs * (-1.0) ** photons,
+                         minlength=resolution)
+    return np.abs(np.fft.fft(folded)) ** 2 / (2.0 * np.pi)
 
 
 @dataclass(frozen=True)
@@ -65,79 +90,15 @@ class DensityMatrix:
             raise ValueError("density matrix trace deviates from 1 by more than 1e-10")
 
     @property
-    def trace(self) -> float:
-        return float(np.real(np.trace(self.entries)))
-
-    @property
     def dim(self) -> int:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class PhaseDistribution:
-    """Canonical phase density sampled on a uniform grid over [-pi, pi)."""
-
-    phases: np.ndarray
-    density: np.ndarray
-
-    @property
-    def resolution(self) -> int:
-        return len(self.phases)
-
-    @property
-    def spacing(self) -> float:
-        return 2.0 * np.pi / self.resolution
-
-
-def coherent_amplitudes(mean_photons: float, phase: float = 0.0,
-                        n_trunc: int | None = None) -> CoherentVec:
-    """Amplitudes c_n = e^{-S/2} S^{n/2} e^{i n phase} / sqrt(n!) up to n_trunc.
-
-    Evaluated by the stable recursion c_{n+1} = c_n * sqrt(S) e^{i phase} / sqrt(n+1).
-    Raises TruncationError if the cutoff leaves more than 1e-12 of the norm behind,
-    or if e^{-S/2} underflows (S above about 1430) and the norm is off by 1e-12.
-    """
-    if not math.isfinite(mean_photons) or mean_photons < 0:
-        raise ValueError(f"mean photon number must be finite and >= 0, got {mean_photons}")
-    if n_trunc is None:
-        n_trunc = default_truncation(mean_photons)
-    if n_trunc < 1:
-        raise ValueError("n_trunc must be >= 1")
-
-    coeffs = np.empty(n_trunc + 1, dtype=complex)
-    coeffs[0] = math.exp(-mean_photons / 2.0)
-    step = math.sqrt(mean_photons) * np.exp(1j * phase)
-    for n in range(n_trunc):
-        coeffs[n + 1] = coeffs[n] * step / math.sqrt(n + 1)
-
-    residual = 1.0 - float(np.sum(np.abs(coeffs) ** 2))
-    if abs(residual) >= TRUNCATION_TOL and coeffs[0].real < np.finfo(float).tiny:
-        # a subnormal e^{-S/2} scales every amplitude by its rounding error,
-        # so the norm can land on either side of 1
-        raise TruncationError(
-            f"S={mean_photons:g} is beyond the Fock path's range: amplitude underflow "
-            f"(e^(-S/2) = {coeffs[0].real:.3g} is below the smallest normal double, "
-            f"norm residual {residual:.3e})")
-    if residual >= TRUNCATION_TOL:
-        raise TruncationError(
-            f"n_trunc={n_trunc} leaves norm residual {residual:.3e} "
-            f"(tolerance {TRUNCATION_TOL:g}); increase the cutoff")
-    coeffs.setflags(write=False)
-    return CoherentVec(coeffs, float(mean_photons), wrap_angle(phase))
-
-
-def overlap(a: CoherentVec, b: CoherentVec) -> complex:
-    """Inner product <a|b> = sum_n conj(a_n) b_n."""
-    if len(a.coeffs) != len(b.coeffs):
-        raise ValueError("overlap requires equal truncation dimensions")
-    return complex(np.vdot(a.coeffs, b.coeffs))
-
-
-def pure_density(v: CoherentVec) -> DensityMatrix:
-    """Rank-1 projector |v><v|."""
-    if abs(v.norm_residual) > 1e-10:
+def pure_density(coeffs: np.ndarray) -> DensityMatrix:
+    """Rank-1 projector |v><v| of the amplitude vector coeffs."""
+    if abs(1.0 - float(np.sum(np.abs(coeffs) ** 2))) > 1e-10:
         raise ValueError("pure_density requires a normalized state")
-    return DensityMatrix(np.outer(v.coeffs, v.coeffs.conj()))
+    return DensityMatrix(np.outer(coeffs, np.conj(coeffs)))
 
 
 def mix(states: list[tuple[float, DensityMatrix]]) -> DensityMatrix:
@@ -166,25 +127,3 @@ def hermitian_eigenvalues(mat: np.ndarray) -> np.ndarray:
     if np.max(np.abs(mat - mat.conj().T)) > 1e-10:
         raise ValueError("matrix is not Hermitian to 1e-10")
     return np.linalg.eigvalsh(mat)
-
-
-def phase_distribution(v: CoherentVec, resolution: int) -> PhaseDistribution:
-    """Canonical phase density P(phi) = |sum_n c_n e^{-i n phi}|^2 / 2pi.
-
-    Evaluated by FFT on the uniform grid phi_k = -pi + 2 pi k / resolution,
-    which makes the trapezoid integral of the density exactly 1 (Parseval).
-    """
-    if resolution < 1024:
-        raise ValueError("resolution must be >= 1024")
-    if len(v.coeffs) > resolution:
-        raise ValueError("resolution must be at least the state dimension")
-    if abs(v.norm_residual) > 1e-10:
-        raise ValueError("phase_distribution requires a normalized state")
-    n = np.arange(len(v.coeffs))
-    # e^{-i n phi_k} = (-1)^n e^{-2 pi i n k / resolution} on this grid
-    spectrum = np.fft.fft(v.coeffs * (-1.0) ** n, resolution)
-    density = np.abs(spectrum) ** 2 / (2.0 * np.pi)
-    phases = -np.pi + 2.0 * np.pi * np.arange(resolution) / resolution
-    density.setflags(write=False)
-    phases.setflags(write=False)
-    return PhaseDistribution(phases, density)

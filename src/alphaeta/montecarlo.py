@@ -23,7 +23,7 @@ from functools import partial
 import numpy as np
 
 from .cipher import Constellation, KeystreamGen, dsr_offset, encode
-from .fock import CoherentVec, coherent_amplitudes, phase_distribution, wrap_angle
+from .fock import phase_distribution, wrap_angle
 from .receivers import BER_LAWS, EVE_STRATEGIES, ReceiverModel
 
 BATCH_SIZE = 1 << 16
@@ -120,15 +120,15 @@ class TrialReport:
 
 
 class PhaseSampler:
-    """Inverse-CDF sampler for the canonical phase distribution of a state.
+    """Inverse-CDF sampler for the canonical phase distribution of |sqrt S>.
 
     The CDF is the trapezoid integral of the density on its periodic grid, so it
     is exactly as symmetric as the density.
     """
 
-    def __init__(self, v: CoherentVec, resolution: int = 1 << 16):
-        dist = phase_distribution(v, resolution)
-        mass = (dist.density + np.roll(dist.density, -1)) * (dist.spacing / 2)
+    def __init__(self, s: float, resolution: int = 1 << 16):
+        density = phase_distribution(s, resolution)
+        mass = (density + np.roll(density, -1)) * (np.pi / resolution)
         cdf = np.concatenate(([0.0], np.cumsum(mass)))
         cdf /= cdf[-1]
         self._cdf = cdf
@@ -212,7 +212,7 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
     eve_kind = EVE_STRATEGIES.get(cfg.eve_strategy)
     keyed = {cfg.bob_receiver.kind, eve_kind} - {None}
     needs_phase = "phase" in keyed or (cfg.eve_strategy != "none" and eve_kind is None)
-    sampler = PhaseSampler(coherent_amplitudes(cfg.s, 0.0)) if needs_phase else None
+    sampler = PhaseSampler(cfg.s) if needs_phase else None
     tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler) for kind in keyed}
 
     task = partial(_run_batch, cfg, const, sampler, tables)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cipher import Constellation
-from .fock import coherent_amplitudes, phase_distribution
+from .fock import log_poisson, phase_distribution, photon_window
 
 # receiver kind -> law(s, resolution); the resolution only matters for "phase".
 # The lambdas look each law up by name at call time, so the wrappers that
@@ -63,7 +63,6 @@ class ReceiverModel:
 class BerLaw:
     exact: float
     asymptotic: float
-    exponent_coefficient: float
 
 
 def helstrom_pure_antipodal(s: float) -> BerLaw:
@@ -73,21 +72,21 @@ def helstrom_pure_antipodal(s: float) -> BerLaw:
     overlap_sq = math.exp(-4.0 * s)
     # 1 - sqrt(1-x) rewritten as x / (1 + sqrt(1-x)) to keep precision at large S
     exact = 0.5 * overlap_sq / (1.0 + math.sqrt(1.0 - overlap_sq))
-    return BerLaw(exact, overlap_sq, 4.0)
+    return BerLaw(exact, overlap_sq)
 
 
 def heterodyne_antipodal(s: float) -> BerLaw:
     """Balanced heterodyne (both quadratures, one extra vacuum unit): 1/2 erfc(sqrt(S))."""
     if not math.isfinite(s) or s < 0:
         raise ValueError("signal photon number must be finite and >= 0")
-    return BerLaw(0.5 * math.erfc(math.sqrt(s)), math.exp(-s), 1.0)
+    return BerLaw(0.5 * math.erfc(math.sqrt(s)), math.exp(-s))
 
 
 def homodyne_antipodal(s: float) -> BerLaw:
     """Single-quadrature homodyne, vacuum-limited: 1/2 erfc(sqrt(2S))."""
     if not math.isfinite(s) or s < 0:
         raise ValueError("signal photon number must be finite and >= 0")
-    return BerLaw(0.5 * math.erfc(math.sqrt(2.0 * s)), math.exp(-2.0 * s), 2.0)
+    return BerLaw(0.5 * math.erfc(math.sqrt(2.0 * s)), math.exp(-2.0 * s))
 
 
 def canonical_phase_antipodal(s: float, resolution: int = 4096) -> BerLaw:
@@ -98,13 +97,12 @@ def canonical_phase_antipodal(s: float, resolution: int = 4096) -> BerLaw:
     """
     if resolution < 4096 or resolution % 4 != 0:
         raise ValueError("resolution must be >= 4096 and divisible by 4")
-    dist = phase_distribution(coherent_amplitudes(s, 0.0), resolution)
+    dens = phase_distribution(s, resolution)
     quarter = resolution // 4
-    dens = dist.density
     # region [pi/2, 3pi/2] wrapped through +-pi; endpoints at half weight
     inner = float(np.sum(dens[3 * quarter + 1:]) + np.sum(dens[:quarter]))
-    exact = dist.spacing * (inner + 0.5 * (dens[quarter] + dens[3 * quarter]))
-    return BerLaw(exact, math.exp(-2.0 * s), 2.0)
+    exact = 2.0 * np.pi / resolution * (inner + 0.5 * (dens[quarter] + dens[3 * quarter]))
+    return BerLaw(exact, math.exp(-2.0 * s))
 
 
 def _circulant_gram_spectrum(s: float, n_points: int) -> np.ndarray:
@@ -113,16 +111,15 @@ def _circulant_gram_spectrum(s: float, n_points: int) -> np.ndarray:
     <alpha_j|alpha_k> = exp(S(e^{2 pi i (k-j)/N} - 1)) is circulant with
     eigenvalues lambda_q = N * sum_{n = q mod N} e^{-S} S^n / n!, the Poisson
     mass folded onto the residues mod N.  The Poisson terms are taken in the
-    log domain for n within S -+ (40 sqrt(S) + 60); every term outside that
-    window underflows to exactly 0, so it is skipped without changing lambda.
+    log domain over the photon window; the terms below it underflow to exactly
+    0 and those above it are below 1e-160, so skipping them moves no lambda
+    that the 1e-32 support cut below keeps.
     Each log term carries a rounding error of order ulp(S ln S); rescaling the
     folded mass to its exact total of 1 keeps that from reaching p_e (4e-12
     at S=1e4 without it).
     """
-    spread = 40.0 * math.sqrt(s) + 60.0
-    photons = np.arange(max(0, int(s - spread)), int(math.ceil(s + spread)) + 1)
-    log_s = math.log(s)
-    poisson = np.exp([n * log_s - s - math.lgamma(n + 1) for n in photons.tolist()])
+    photons = photon_window(s)
+    poisson = np.exp([log_poisson(s, n) for n in photons.tolist()])
     folded = np.bincount(photons % n_points, weights=poisson, minlength=n_points)
     return n_points * folded / folded.sum()
 

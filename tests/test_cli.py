@@ -91,6 +91,14 @@ class TestBerTable:
         code, _ = run_cli("ber-table", "--receivers", "optimal,psychic")
         assert code == 2
 
+    def test_phase_where_e_minus_s_over_2_underflows(self):
+        code, out = run_cli("ber-table", "--receivers", "phase", "--s-min", "1490",
+                            "--s-max", "2000", "--steps", "3")
+        assert code == 0
+        header, rows = parse_csv(out)
+        assert header == ["S", "phase_exact", "phase_asymptotic"] and len(rows) == 3
+        assert all(0.0 <= float(r[1]) < 1e-24 for r in rows)  # the ~2e-32 FFT floor
+
     @pytest.mark.parametrize("argv", [["--s-min", "nan"], ["--s-max", "inf"],
                                       ["--resolution", "4097"], ["--receivers", ","]],
                              ids=["s-min-nan", "s-max-inf", "resolution-4097", "no-receivers"])
@@ -190,6 +198,19 @@ class TestSimulate:
         assert doc["bob"]["ci_low"] <= exact <= doc["bob"]["ci_high"]
         assert doc["analytic_bob"] == pytest.approx(exact, rel=1e-12)
 
+    @READS_VMHWM
+    def test_deployed_regime_nearest_point(self):
+        """S=1e4, M=4096: the phase sampler at a signal where e^{-S/2} underflows."""
+        start = time.perf_counter()
+        out, peak_mb = run_child("simulate", "--s", "1e4", "--m", "4096", "--eve",
+                                 "nearest-point", "--trials", "200000", "--workers", "2")
+        wall = time.perf_counter() - start
+        doc = json.loads(out)
+        assert doc["bob"]["errors"] == 0
+        # the phase noise 1/(2 sqrt S) spans about 6.5 point spacings pi/M
+        assert 0.45 < doc["eve"]["p_hat"] < 0.55
+        assert wall < 10.0 and peak_mb < 200
+
     def test_report_validates_against_schema(self):
         schema = json.loads((SCHEMA_DIR / "trial_report.schema.json").read_text())
         _, out = run_cli("simulate", "--s", "1", "--trials", "10000",
@@ -244,11 +265,12 @@ class TestKeyrate:
     def test_invalid_input_is_usage_error(self, argv):
         assert run_cli("keyrate", *argv)[0] == 2
 
-    def test_numeric_failure_is_computation_error(self, capsys):
-        # the phase-deferred BER needs the Fock path, whose amplitudes underflow at S=2000
-        code, _ = run_cli("keyrate", "--s", "2000", "--eve", "phase-deferred")
-        assert code == 1
-        assert "amplitude underflow" in capsys.readouterr().err
+    def test_phase_deferred_where_e_minus_s_over_2_underflows(self):
+        # both BERs are below 1e-24 at S=2000, so no key is left to distil
+        code, out = run_cli("keyrate", "--s", "2000", "--eve", "phase-deferred")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["p_eve"] < 1e-24 and doc["rate"] < 1e-12 * doc["line_rate"]
 
 
 class TestEncryptDecrypt:

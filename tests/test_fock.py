@@ -1,19 +1,18 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaeta.fock import (
-    CoherentVec,
-    TruncationError,
     coherent_amplitudes,
-    default_truncation,
     hermitian_eigenvalues,
+    log_poisson,
     mix,
-    overlap,
     phase_distribution,
+    photon_window,
     pure_density,
     wrap_angle,
 )
@@ -24,126 +23,164 @@ def closed_form_overlap(alpha: complex, beta: complex) -> complex:
     return np.exp(-(abs(alpha) ** 2 + abs(beta) ** 2) / 2 + np.conj(alpha) * beta)
 
 
+def state(s: float, phase: float, dim: int | None = None) -> np.ndarray:
+    """Amplitudes of |sqrt(S) e^{i phase}> on n = 0..dim-1 (window starting at 0).
+
+    Without dim, the trailing amplitudes below 1e-20 are cut: they change no
+    entry of |v><v| by more than 1e-20.
+    """
+    n, c = coherent_amplitudes(s)
+    assert n[0] == 0
+    if dim is None:
+        dim = int(np.flatnonzero(c > 1e-20)[-1]) + 1
+    v = np.zeros(dim, dtype=complex)
+    v[:min(dim, len(c))] = (c * np.exp(1j * n * phase))[:dim]
+    return v
+
+
+def mpmath_density(s: float, resolution: int, ks) -> list[float]:
+    """30-digit |sum_n c_n e^{-i n phi_k}|^2 / 2pi at phi_k = -pi + 2 pi k / resolution,
+    summed over n in S -+ (50 sqrt(S) + 100)."""
+    with mp.workdps(30):
+        lo = max(0, int(s - 50 * math.sqrt(s) - 100))
+        hi = int(s + 50 * math.sqrt(s) + 100)
+        s_mp = mp.mpf(s)
+        first = mp.exp((lo * mp.log(s_mp) - s_mp - mp.loggamma(lo + 1)) / 2)
+        out = []
+        for k in ks:
+            z = mp.expjpi(-mp.mpf(2 * k - resolution) / resolution)  # e^{-i phi_k}
+            term, total = first * z ** lo, mp.mpc(0)
+            for n in range(lo, hi + 1):
+                total += term
+                term *= mp.sqrt(s_mp / (n + 1)) * z
+            out.append(float(abs(total) ** 2 / (2 * mp.pi)))
+        return out
+
+
+class TestPhotonWindow:
+    @pytest.mark.parametrize("s", [0.5, 7.0, 100.0, 1e3, 1490.0, 1e4, 1e5])
+    def test_terms_outside_are_below_1e_160(self, s):
+        n = photon_window(s).tolist()
+        assert log_poisson(s, n[-1] + 1) < math.log(1e-160)
+        if n[0] > 0:
+            assert np.exp(log_poisson(s, n[0] - 1)) == 0.0
+        assert math.fsum(np.exp([log_poisson(s, k) for k in n])) == pytest.approx(1.0, abs=1e-9)
+
+    def test_starts_at_zero_below_about_1716(self):
+        assert photon_window(0.0).tolist() == list(range(61))
+        assert photon_window(1700.0)[0] == 0
+        assert photon_window(1e4)[0] == 5940
+
+
 class TestCoherentAmplitudes:
     def test_vacuum(self):
-        v = coherent_amplitudes(0.0, 0.0, 8)
-        assert v.coeffs[0] == 1.0
-        assert np.all(v.coeffs[1:] == 0.0)
+        n, c = coherent_amplitudes(0.0)
+        assert n[0] == 0 and c[0] == 1.0
+        assert np.all(c[1:] == 0.0)
 
-    def test_s1_ground_amplitude(self):
-        v = coherent_amplitudes(1.0, 0.0, 40)
-        assert v.coeffs[0].real == pytest.approx(math.exp(-0.5), abs=1e-15)
-        assert abs(v.norm_residual) < 1e-12
+    def test_s1_ground_amplitude_is_exact(self):
+        _, c = coherent_amplitudes(1.0)
+        assert c[0] == math.exp(-0.5)
+        assert math.fsum(c ** 2) == pytest.approx(1.0, abs=1e-14)
 
-    def test_s7_pi_sign_pattern_term_by_term(self):
-        # oracle: direct series in log space, sign from e^{i n pi}
-        v = coherent_amplitudes(7.0, math.pi, 64)
-        for n in range(65):
-            expected = (-1) ** n * math.exp(-3.5 + 0.5 * n * math.log(7) - 0.5 * math.lgamma(n + 1))
-            assert v.coeffs[n].real == pytest.approx(expected, rel=1e-10, abs=1e-300)
-            assert abs(v.coeffs[n].imag) < 1e-12 * abs(v.coeffs[n].real) + 1e-18
+    def test_s7_term_by_term(self):
+        # oracle: direct series in log space
+        n, c = coherent_amplitudes(7.0)
+        expected = [math.exp(-3.5 + 0.5 * k * math.log(7) - 0.5 * math.lgamma(k + 1))
+                    for k in n.tolist()]
+        np.testing.assert_allclose(c, expected, rtol=1e-10, atol=1e-300)
 
-    @pytest.mark.parametrize("s", [0.5, 1, 2, 4, 7, 10])
-    def test_default_truncation_residual(self, s):
-        v = coherent_amplitudes(s, 0.3, default_truncation(s))
-        assert v.norm_residual < 1e-12
-
-    def test_too_small_cutoff_raises_with_residual(self):
-        with pytest.raises(TruncationError, match="residual"):
-            coherent_amplitudes(10.0, 0.0, 4)
+    @pytest.mark.parametrize("s", [0.5, 7.0, 100.0, 1e3, 1416.0, 1490.0, 1716.0, 2000.0,
+                                   1e4, 1e5])
+    def test_normalized_and_real_at_any_s(self, s):
+        # S=1490 (window from 0, e^{-S/2} subnormal) and S=2000 (e^{-S/2} = 0) were
+        # the two amplitude-underflow failures of a basis starting from e^{-S/2}
+        n, c = coherent_amplitudes(s)
+        assert len(n) == len(c) and np.all(np.diff(n) == 1)
+        assert np.all(c >= 0.0)
+        assert math.fsum(c ** 2) == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize("s", [1490.0, 2000.0])
-    def test_amplitude_underflow_is_named(self, s):
-        # at S=1490 e^{-S/2} rounds up to the smallest subnormal (norm > 1);
-        # at S=2000 it is 0
-        with pytest.raises(TruncationError, match="amplitude underflow"):
-            coherent_amplitudes(s)
+    def test_first_normal_amplitude_is_taken_in_the_log_domain(self, s):
+        n, c = coherent_amplitudes(s)
+        first = int(np.flatnonzero(c)[0])
+        log_c = 0.5 * (n[first] * math.log(s) - s - math.lgamma(n[first] + 1))
+        assert np.all(c[:first] == 0.0)
+        assert np.finfo(float).tiny <= c[first] == math.exp(log_c)
+        assert math.exp(0.5 * (n[first - 1] * math.log(s) - s - math.lgamma(n[first])))\
+            < np.finfo(float).tiny
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            coherent_amplitudes(-1.0)
-        with pytest.raises(ValueError):
-            coherent_amplitudes(math.inf)
-        with pytest.raises(ValueError):
-            coherent_amplitudes(1.0, 0.0, 0)
+        for bad in (-1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                coherent_amplitudes(bad)
 
 
-class TestOverlap:
-    def test_self_overlap_is_one(self):
-        v = coherent_amplitudes(3.0, 1.1)
-        assert overlap(v, v).real == pytest.approx(1.0, abs=1e-12)
-
+class TestInnerProducts:
     def test_s7_antipodal_overlap(self):
-        a = coherent_amplitudes(7.0, 0.0)
-        b = coherent_amplitudes(7.0, math.pi)
-        assert abs(overlap(a, b)) ** 2 == pytest.approx(math.exp(-28), rel=1e-9)
+        a, b = state(7.0, 0.0), state(7.0, math.pi)
+        assert abs(np.vdot(a, b)) ** 2 == pytest.approx(math.exp(-28), rel=1e-9)
 
     def test_vacuum_overlap(self):
-        n = default_truncation(5.0)
-        vac = coherent_amplitudes(0.0, 0.0, n)
-        v = coherent_amplitudes(5.0, 0.0, n)
-        assert overlap(vac, v).real == pytest.approx(math.exp(-2.5), rel=1e-12)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            overlap(coherent_amplitudes(1.0, 0, 30), coherent_amplitudes(1.0, 0, 31))
+        v = state(5.0, 0.0)
+        assert np.vdot(state(0.0, 0.0, len(v)), v).real == pytest.approx(math.exp(-2.5),
+                                                                          rel=1e-12)
 
     @settings(max_examples=100, deadline=None)
     @given(sa=st.floats(0, 10), sb=st.floats(0, 10),
            pa=st.floats(-math.pi, math.pi), pb=st.floats(-math.pi, math.pi))
     def test_matches_closed_form(self, sa, sb, pa, pb):
-        n = default_truncation(10.0)
-        a = coherent_amplitudes(sa, pa, n)
-        b = coherent_amplitudes(sb, pb, n)
+        dim = len(photon_window(10.0))
+        got = np.vdot(state(sa, pa, dim), state(sb, pb, dim))
         alpha = math.sqrt(sa) * np.exp(1j * pa)
         beta = math.sqrt(sb) * np.exp(1j * pb)
-        assert overlap(a, b) == pytest.approx(closed_form_overlap(alpha, beta), abs=1e-10)
+        assert got == pytest.approx(closed_form_overlap(alpha, beta), abs=1e-10)
 
 
 class TestDensityMatrices:
     def test_vacuum_projector(self):
-        rho = pure_density(coherent_amplitudes(0.0, 0.0, 8))
+        rho = pure_density(state(0.0, 0.0, 9))
         expected = np.zeros((9, 9))
         expected[0, 0] = 1.0
         assert np.allclose(rho.entries, expected)
 
     def test_trace_is_norm(self):
-        rho = pure_density(coherent_amplitudes(3.0, 0.7))
-        assert rho.trace == pytest.approx(1.0, abs=1e-12)
+        rho = pure_density(state(3.0, 0.7))
+        assert np.trace(rho.entries).real == pytest.approx(1.0, abs=1e-12)
 
     def test_rank_one_spectrum(self):
-        rho = pure_density(coherent_amplitudes(1.0, 0.0))
+        rho = pure_density(state(1.0, 0.0))
         eigs = hermitian_eigenvalues(rho.entries)
         assert eigs[-1] == pytest.approx(1.0, abs=1e-10)
         assert np.all(np.abs(eigs[:-1]) < 1e-10)
 
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError):
+            pure_density(0.9 * state(1.0, 0.0))
+
     def test_mix_single_state_identity(self):
-        rho = pure_density(coherent_amplitudes(2.0, 0.4))
+        rho = pure_density(state(2.0, 0.4))
         assert np.allclose(mix([(1.0, rho)]).entries, rho.entries)
 
     def test_mix_antipodal_diagonal(self):
         # equal antipodal mixture keeps the Poisson diagonal, kills odd coherences
-        n = default_truncation(2.0)
-        r0 = pure_density(coherent_amplitudes(2.0, 0.0, n))
-        r1 = pure_density(coherent_amplitudes(2.0, math.pi, n))
+        r0 = pure_density(state(2.0, 0.0))
+        r1 = pure_density(state(2.0, math.pi))
         m = mix([(0.5, r0), (0.5, r1)])
-        assert m.trace == pytest.approx(1.0, abs=1e-10)
+        assert np.trace(m.entries).real == pytest.approx(1.0, abs=1e-10)
         assert np.allclose(np.diag(m.entries), np.diag(r0.entries), atol=1e-14)
         assert abs(m.entries[0, 1]) < 1e-14  # adjacent coherence cancels
 
     def test_mix_rotated_copies_poisson_diagonal(self):
-        s, n = 3.0, default_truncation(3.0)
-        parts = [(0.25, pure_density(coherent_amplitudes(s, k * math.pi / 2, n)))
-                 for k in range(4)]
-        m = mix(parts)
-        ks = np.arange(n + 1)
-        log_pmf = -s + ks * math.log(s) - np.array(
-            [math.lgamma(k + 1) for k in range(n + 1)])
-        poisson = np.exp(log_pmf)
-        assert np.allclose(np.real(np.diag(m.entries)), poisson, atol=1e-12)
+        s = 3.0
+        dim = len(state(s, 0.0))
+        m = mix([(0.25, pure_density(state(s, k * math.pi / 2, dim))) for k in range(4)])
+        ks = np.arange(dim)
+        log_pmf = -s + ks * math.log(s) - np.array([math.lgamma(k + 1) for k in range(dim)])
+        assert np.allclose(np.real(np.diag(m.entries)), np.exp(log_pmf), atol=1e-12)
 
     def test_mix_rejects_bad_weights(self):
-        rho = pure_density(coherent_amplitudes(1.0, 0.0))
+        rho = pure_density(state(1.0, 0.0))
         with pytest.raises(ValueError):
             mix([(0.6, rho), (0.6, rho)])
         with pytest.raises(ValueError):
@@ -188,37 +225,43 @@ class TestHermitianEigenvalues:
 
 class TestPhaseDistribution:
     def test_vacuum_uniform(self):
-        dist = phase_distribution(coherent_amplitudes(0.0, 0.0, 8), 1024)
-        assert np.allclose(dist.density, 1 / (2 * math.pi), atol=1e-14)
+        assert np.allclose(phase_distribution(0.0, 1024), 1 / (2 * math.pi), atol=1e-14)
 
-    def test_normalization_and_positivity(self):
-        for s, phi in [(0.5, 0.2), (4.0, -1.0), (10.0, 3.0)]:
-            dist = phase_distribution(coherent_amplitudes(s, phi), 4096)
-            assert np.sum(dist.density) * dist.spacing == pytest.approx(1.0, abs=1e-9)
-            assert np.all(dist.density >= -1e-12)
+    @pytest.mark.parametrize("s", [0.5, 4.0, 10.0, 1e4])
+    def test_normalization_and_positivity(self, s):
+        density = phase_distribution(s, 4096)
+        assert np.sum(density) * 2 * math.pi / 4096 == pytest.approx(1.0, abs=1e-9)
+        assert np.all(density >= 0.0)
 
     def test_symmetric_unimodal_at_zero(self):
-        dist = phase_distribution(coherent_amplitudes(5.0, 0.0), 4096)
-        n = dist.resolution
+        density = phase_distribution(5.0, 4096)
+        n = len(density)
         # grid is symmetric about index n/2 (phi=0)
-        assert np.allclose(dist.density[1:n // 2], dist.density[-1:n // 2:-1], atol=1e-12)
-        assert np.argmax(dist.density) == n // 2
+        assert np.allclose(density[1:n // 2], density[-1:n // 2:-1], atol=1e-12)
+        assert np.argmax(density) == n // 2
 
-    def test_phase_shift_is_circular_shift(self):
-        n = 4096
-        shift_cells = 300
-        theta = 2 * math.pi * shift_cells / n
-        base = phase_distribution(coherent_amplitudes(5.0, 0.0), n)
-        moved = phase_distribution(coherent_amplitudes(5.0, theta), n)
-        assert np.allclose(moved.density, np.roll(base.density, shift_cells), atol=1e-10)
+    @pytest.mark.parametrize("s, rel_to_peak", [
+        (7.0, 1e-12), (100.0, 1e-12), (1e3, 1e-12), (1490.0, 1e-12), (1e4, 1e-10)])
+    def test_matches_mpmath_sum(self, s, rel_to_peak):
+        # at S=1e4 the 8121-term window is folded onto the 4096-point grid
+        resolution = 4096
+        centre = resolution // 2
+        ks = [centre, centre + 1, centre - 3, centre + 10, centre + 60, resolution // 4, 0]
+        density = phase_distribution(s, resolution)
+        oracle = mpmath_density(s, resolution, ks)
+        peak = oracle[0]
+        assert density[centre] == pytest.approx(peak, rel=rel_to_peak)
+        np.testing.assert_allclose(density[ks], oracle, rtol=0, atol=rel_to_peak * peak)
 
-    def test_rejects_unnormalized_and_small_grid(self):
-        v = coherent_amplitudes(1.0, 0.0)
-        bad = CoherentVec(v.coeffs * 0.9, v.mean_photons, v.phase)
+    def test_folded_grid_agrees_with_unfolded(self):
+        # 4096 points fold the 8121-term window of S=1e4; 16384 points do not
+        coarse, fine = phase_distribution(1e4, 4096), phase_distribution(1e4, 16384)
+        np.testing.assert_allclose(coarse, fine[::4], rtol=0, atol=1e-12 * fine.max())
+
+    @pytest.mark.parametrize("resolution", [512, 4097])
+    def test_rejects_small_or_odd_grid(self, resolution):
         with pytest.raises(ValueError):
-            phase_distribution(bad, 4096)
-        with pytest.raises(ValueError):
-            phase_distribution(v, 512)
+            phase_distribution(1.0, resolution)
 
 
 class TestWrapAngle:

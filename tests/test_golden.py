@@ -48,9 +48,9 @@ PLAINTEXT = np.random.default_rng(2024).bytes(2048)
 
 DIGESTS = {
     "ber-table-csv":
-        "326b30cb6322592878f93fac7f63a89228f58b99a923c49e98d9699acf4049df",
+        "ebb54b7a26b665c1e9670ef47f678e2ff6e12c94c34550b4d45f46c3ce6c11b7",
     "ber-table-json":
-        "6697b345cdf66de70c3799eab10e7ca2e8edeea7bcb53aa7cfa79a3e7e7b985f",
+        "20ea087798f53eecacdaa9072bcd08089105ea322230e94ea75777fd25a9c384",
     "decrypt-m32-alternating":
         "0e779645a0ed84119935dcb3a273fd0b5472dc94739393c26f332fb609423cd0",
     "decrypt-m32768-alternating":

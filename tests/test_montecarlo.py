@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from alphaeta.fock import coherent_amplitudes, wrap_angle
+from alphaeta.fock import wrap_angle
 from alphaeta.montecarlo import (
     BATCH_SIZE,
     BerEstimate,
@@ -101,25 +101,24 @@ class TestSamplers:
 
     def test_phase_vacuum_uniform_ks(self):
         rng = np.random.default_rng(7)
-        draws = PhaseSampler(coherent_amplitudes(0.0, 0.0, 8)).sample(rng, 10 ** 5)
+        draws = PhaseSampler(0.0).sample(rng, 10 ** 5)
         res = stats.kstest(draws, stats.uniform(loc=-math.pi, scale=2 * math.pi).cdf)
         assert res.pvalue > 0.01
 
     def test_phase_half_plane_error_rate(self):
         rng = np.random.default_rng(8)
         n, s = 10 ** 7, 7.0
-        draws = PhaseSampler(coherent_amplitudes(s, 0.0)).sample(rng, n)
+        draws = PhaseSampler(s).sample(rng, n)
         p_hat = np.count_nonzero(np.abs(draws) > math.pi / 2) / n
         p = canonical_phase_antipodal(s, 16384).exact
         assert abs(p_hat - p) < 4 * math.sqrt(p * (1 - p) / n)
 
-    def test_phase_mode_follows_state_phase(self):
+    def test_phase_mode_at_zero(self):
         rng = np.random.default_rng(9)
-        theta = 1.25
-        draws = PhaseSampler(coherent_amplitudes(7.0, theta)).sample(rng, 10 ** 5)
+        draws = PhaseSampler(7.0).sample(rng, 10 ** 5)
         hist, edges = np.histogram(draws, bins=256, range=(-math.pi, math.pi))
         mode = (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1]) / 2
-        assert abs(wrap_angle(mode - theta)) < 0.05
+        assert abs(wrap_angle(mode)) < 0.05
 
 
 class TestKeyedDecisionIdentity:
@@ -171,7 +170,7 @@ class TestKeyedDecisionIdentity:
     @pytest.mark.parametrize("s", [0.3, 7.0, 100.0])
     @pytest.mark.parametrize("m_count,d", [(1, 0), (2, 0), (32, 0), (32, 1), (32, 15)])
     def test_phase_cdf_interval(self, s, m_count, d):
-        sampler = PhaseSampler(coherent_amplitudes(s, 0.0))
+        sampler = PhaseSampler(s)
         j, m, k, sent_far = self._trials(m_count, d, 13)
         phi = sampler.sample(np.random.default_rng(14), self.N) + np.pi * j / m_count
         far = np.cos(phi - np.pi * m / m_count) < 0
@@ -194,7 +193,7 @@ class TestKeyedDecisionIdentity:
     @pytest.mark.parametrize("s", [0.0, 0.3, 7.0, 100.0, 1000.0])
     @pytest.mark.parametrize("m_count", [1, 2, 32, 4096])
     def test_phase_table_is_far_half_plane_cdf_mass(self, s, m_count):
-        sampler = PhaseSampler(coherent_amplitudes(s, 0.0))
+        sampler = PhaseSampler(s)
         table = offset_error_table("phase", s, m_count, sampler)
         lo, width = half_planes(sampler, m_count)  # near side: (u - lo) mod 1 <= width
         cos = np.cos(np.pi * np.arange(2 * m_count) / m_count)
@@ -253,6 +252,16 @@ class TestRunSimulation:
                                   eve_strategy="nearest-point", trials=200_000))
         assert rep.eve.p_hat >= 0.25
         assert rep.analytic_eve is None
+
+    @pytest.mark.parametrize("s", [1490.0, 2000.0])
+    def test_phase_receivers_where_e_minus_s_over_2_underflows(self, s):
+        # phase Bob's law (~e^{-S}) reads as the density's ~2e-32 FFT rounding floor;
+        # nearest-point Eve at M=1024 is about half-confused (the phase noise
+        # 1/(2 sqrt S) spans about 4 point spacings pi/M)
+        rep = run_simulation(_cfg(s=s, m_bases=1024, bob_receiver=ReceiverModel("phase"),
+                                  eve_strategy="nearest-point", trials=100_000))
+        assert rep.bob.errors == 0 and rep.analytic_bob < 1e-24
+        assert 0.3 < rep.eve.p_hat < 0.5
 
     def test_reproducible_across_workers(self):
         cfg = _cfg(eve_strategy="phase-deferred", trials=300_000, master_seed=77)

@@ -120,6 +120,53 @@ class TestCanonicalPhase:
             assert oracle == pytest.approx(2.146245e-5, rel=1e-6)
 
 
+def mpmath_grid_phase_ber(s, resolution, n_max=200):
+    """40-digit trapezoid sum of the phase density over |phi| >= pi/2 on the grid
+    phi_k = -pi + 2 pi k / resolution, endpoints at half weight.
+
+    With the density |sum_n c_n e^{-i n phi}|^2 / 2pi the sum is
+    (1/2pi) sum_{n,m} c_n c_m W(n - m), where W(d) = h sum_k w_k cos(d phi_k) over
+    the nodes phi = pi/2 + j h, j = 0..R/2, is a geometric sum in closed form.
+    """
+    with mp.workdps(40):
+        s = mp.mpf(s)
+        c = [mp.exp((n * mp.log(s) - s - mp.loggamma(n + 1)) / 2) for n in range(n_max)]
+        h, half = 2 * mp.pi / resolution, resolution // 2
+
+        def w(d):
+            if d == 0:
+                return h * half
+            nodes = (mp.cos(d * mp.pi / 2 + half * d * h / 2) * mp.sin((half + 1) * d * h / 2)
+                     / mp.sin(d * h / 2))
+            return h * (nodes - (mp.cos(d * mp.pi / 2) + mp.cos(3 * d * mp.pi / 2)) / 2)
+
+        total = w(0) * mp.fsum(x * x for x in c)
+        for d in range(1, n_max):
+            total += 2 * w(d) * mp.fsum(c[n] * c[n + d] for n in range(n_max - d))
+        return total / (2 * mp.pi)
+
+
+@pytest.mark.parametrize("s, resolution, golden", [
+    (4.0, 4096, 8.65939343173588e-4),
+    (6.0, 4096, 7.141409325932641e-5),
+    (8.0, 4096, 6.601044210286162e-6),
+    (1.75, 8192, 0.01813396112461287),
+])
+def test_golden_phase_values_match_40_digit_grid_sum(s, resolution, golden):
+    # the canonical-phase values pinned by the ber-table-csv and ber-table-json digests
+    exact = canonical_phase_antipodal(s, resolution).exact
+    assert exact == golden
+    oracle = mpmath_grid_phase_ber(s, resolution)
+    assert abs(exact - oracle) <= 5e-15 * oracle
+
+
+@pytest.mark.parametrize("s", [1490.0, 2000.0, 1e4, 1e5])
+def test_phase_ber_where_e_minus_s_over_2_underflows(s):
+    # the exact law (about e^{-S}) is below the density's ~2e-32 FFT rounding floor
+    law = canonical_phase_antipodal(s)
+    assert 0.0 <= law.exact < 1e-24
+
+
 def eve_law(strategy, s):
     """Law a deferred-decision eavesdropper reaches once the basis is revealed."""
     return ReceiverModel(EVE_STRATEGIES[strategy]).law(s)
@@ -150,6 +197,14 @@ def full_gram_spectrum(s, n_points):
     poisson = np.exp([n * math.log(s) - s - math.lgamma(n + 1) for n in range(n_max + 1)])
     folded = np.bincount(np.arange(n_max + 1) % n_points, weights=poisson, minlength=n_points)
     return n_points * folded / folded.sum()
+
+
+def fock_state(s, phase):
+    """Amplitudes of |sqrt(S) e^{i phase}> on n = 0, 1, ..., cut after the last one
+    above 1e-20 (the rest change no density-matrix entry by more than 1e-20)."""
+    n, c = coherent_amplitudes(s)
+    keep = int(np.flatnonzero(c > 1e-20)[-1]) + 1
+    return c[:keep] * np.exp(1j * n[:keep] * phase)
 
 
 def dense_nokey_helstrom(s, const):
@@ -213,7 +268,7 @@ class TestEveNokey:
             const = Constellation(m, mapping)
             by_bit = {0: [], 1: []}
             for j in range(const.num_points):
-                rho = pure_density(coherent_amplitudes(s, const.point_phase(j)))
+                rho = pure_density(fock_state(s, const.point_phase(j)))
                 by_bit[const.point_bit(j)].append((1.0 / m, rho))
             diff = mix(by_bit[0]).entries - mix(by_bit[1]).entries
             oracle = 0.5 - 0.25 * float(np.sum(np.abs(hermitian_eigenvalues(diff))))
