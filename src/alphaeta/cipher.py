@@ -16,6 +16,7 @@ DEFAULT_DEGREE = 32
 DEFAULT_TAPS = (32, 22, 2, 1)  # maximal-length polynomial x^32+x^22+x^2+x+1
 
 MAPPINGS = ("alternating", "plain")
+HISTORY_BITS = 1 << 18  # keystream history kept across bits() calls (at least the degree)
 
 
 def _is_power_of_two(m: int) -> bool:
@@ -44,6 +45,11 @@ class Constellation:
     def num_points(self) -> int:
         return 2 * self.m_bases
 
+    @property
+    def point_dtype(self):
+        """uint16 while 2M divides 2^16, so its wrap-around keeps every residue mod 2M."""
+        return np.uint16 if self.num_points <= 1 << 16 else np.int64
+
     def point_phase(self, j: int) -> float:
         if not 0 <= j < self.num_points:
             raise ValueError(f"point index {j} out of range")
@@ -68,14 +74,23 @@ def _scalar_or_array(x):
     return int(x) if np.ndim(x) == 0 else x
 
 
+def _integers(x) -> np.ndarray:
+    """x as an array; raises TypeError unless it holds booleans or integers."""
+    x = np.asarray(x)
+    if not np.can_cast(x.dtype, np.int64):
+        raise TypeError(f"expected integers, got {x.dtype}")
+    return x
+
+
 def encode(bit, basis, c: Constellation):
-    """Point basis + (bit ^ polarity(basis)) * M; accepts scalars or equal-length arrays."""
-    bit = np.asarray(bit).astype(np.int64, casting="safe", copy=False)  # promotes the sum
-    basis = np.asarray(basis)
+    """Point basis + (bit ^ polarity(basis)) * M in c.point_dtype; accepts scalars or
+    equal-length arrays."""
+    bit, basis = _integers(bit), _integers(basis)
     if bit.size and (bit.min() < 0 or bit.max() > 1):
         raise ValueError("bits must be 0 or 1")
     if basis.size and (basis.min() < 0 or basis.max() >= c.m_bases):
         raise ValueError(f"basis out of range for M={c.m_bases}")
+    bit, basis = bit.astype(c.point_dtype, copy=False), basis.astype(c.point_dtype, copy=False)
     return _scalar_or_array(basis + (bit ^ c.polarity(basis)) * c.m_bases)
 
 
@@ -93,10 +108,12 @@ def decode_lenient(j, basis, c: Constellation):
 
     Agrees with decode() on in-pair points; for arbitrary points (e.g. a
     wrong-key decrypt) it returns the bit of the nearer antipodal point.
-    Accepts scalars or equal-length integer arrays.
+    Accepts scalars or equal-length integer arrays; computes in c.point_dtype.
     """
-    basis = np.asarray(basis)
-    half = np.subtract(j, basis, dtype=np.int64) % (2 * c.m_bases) // c.m_bases
+    j = _integers(j).astype(c.point_dtype, copy=False)
+    basis = _integers(basis).astype(c.point_dtype, copy=False)
+    half = (j - basis) & (2 * c.m_bases - 1)  # mod 2M = 2^b, which point_dtype keeps
+    half //= c.m_bases
     half ^= c.polarity(basis)
     return _scalar_or_array(half)
 
@@ -145,7 +162,8 @@ class KeystreamGen:
             raise ValueError("LFSR register must not be all-zero")
         fill = np.frombuffer(register.to_bytes((degree + 7) // 8, "little"), dtype=np.uint8)
         # The stream computed so far, ending with the register o[pos..pos+d-1];
-        # bits() keeps d*K bits of it, K the last step its doubling reached.
+        # bits() keeps d*K bits of it: K the largest power of two with d*K within
+        # both the stream and HISTORY_BITS, or K = 1 when d exceeds HISTORY_BITS.
         self._tail = np.unpackbits(fill, bitorder="little")[:degree]
         self.taps = taps
         self.degree = degree
@@ -173,8 +191,9 @@ class KeystreamGen:
         polynomial satisfies p(x)^K = p(x^K) for K = 2^k, so the recurrence
         also holds with every offset scaled by K: once d*K bits are known,
         one XOR per tap emits the next K bits.  The register afterwards is
-        o[n..n+d-1].  The last d*K bits computed are kept for the next call,
-        so a run of calls doubles up from d bits only once.
+        o[n..n+d-1].  The last d*K bits computed, K as large as fits in
+        HISTORY_BITS, are kept for the next call, so a run of calls doubles
+        up from d bits only once.
         """
         if n < 0:
             raise ValueError("bit count must be >= 0")
@@ -200,7 +219,8 @@ class KeystreamGen:
             for off in rest:
                 dst ^= buf[base + off * step:base + off * step + k]
             filled += k
-        while d * step * 2 <= total:
+        step = 1
+        while d * step * 2 <= min(total, HISTORY_BITS):
             step *= 2
         self._tail = buf[total - d * step:].copy()  # the caller may write to its bits
         return buf[head - d:head - d + n]

@@ -201,8 +201,9 @@ def _stream(src, out_path: str, head: bytes, chunk_bytes: int, convert) -> None:
 
 
 def _encrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:
-    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8)).astype(np.int64)
-    return encode(bits, gen.bases(const.m_bases, bits.size), const).astype("<u2").tobytes()
+    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))
+    points = encode(bits, gen.bases(const.m_bases, bits.size), const)
+    return points.astype("<u2", copy=False).tobytes()
 
 
 def _decrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:

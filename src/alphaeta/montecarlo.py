@@ -27,6 +27,7 @@ from .fock import phase_distribution, wrap_angle
 from .receivers import BER_LAWS, EVE_STRATEGIES, ReceiverModel
 
 BATCH_SIZE = 1 << 16
+CHUNK_SIZE = 1 << 14  # trials per decision step; bounds every per-trial temporary
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -170,14 +171,24 @@ def offset_error_table(kind: str, s: float, m_count: int,
 
 def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | None,
                tables: dict[str, np.ndarray], batch: int, m: np.ndarray) -> tuple[int, int]:
-    """Bob's and Eve's error counts over batch `batch`, whose keyed bases are m."""
+    """Bob's and Eve's error counts over batch `batch`, whose keyed bases are m.
+
+    The batch draws its bits, then its DSR dithers, then Bob's and then Eve's
+    samples, each as consecutive CHUNK_SIZE-trial calls, which give the same
+    values as one call.  Only the bits (uint8) and the sent points (in the
+    constellation's point dtype) span the batch; every other array spans a chunk.
+    """
     m_count = cfg.m_bases
     n = m.size
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
+    chunks = [slice(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
 
-    bits = rng.integers(0, 2, size=n, dtype=np.int64)
-    j = dsr_offset(rng, cfg.dsr_d, encode(bits, m, const), m_count)
-    k = (j - m) & (2 * m_count - 1)  # sent point's offset from the axis, mod 2M = 2^b
+    bits = np.empty(n, dtype=np.uint8)
+    for c in chunks:
+        bits[c] = rng.integers(0, 2, size=c.stop - c.start, dtype=np.int64)
+    j = np.empty(n, dtype=const.point_dtype)
+    for c in chunks:
+        j[c] = dsr_offset(rng, cfg.dsr_d, encode(bits[c], m[c], const), m_count)
 
     def errors(kind: str | None) -> int:
         """Wrong decisions of receiver `kind`: the one decision kernel of Bob and Eve.
@@ -186,11 +197,17 @@ def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | Non
         uniform draw per trial.  kind None has no key: it snaps a canonical-phase
         outcome to the nearest of all 2M points and reads that point's bit.
         """
-        if kind is None:
-            phi_hat = wrap_angle(sampler.sample(rng, n) + np.pi * j / m_count)
-            j_hat = np.rint(phi_hat * m_count / np.pi).astype(np.int64) % (2 * m_count)
-            return int(np.count_nonzero(const.point_bit(j_hat) != bits))
-        return int(np.count_nonzero(rng.random(n) < tables[kind][k]))
+        wrong = 0
+        for c in chunks:
+            size = c.stop - c.start
+            if kind is None:
+                phi_hat = wrap_angle(sampler.sample(rng, size) + np.pi * j[c] / m_count)
+                j_hat = np.rint(phi_hat * m_count / np.pi).astype(np.int64) % (2 * m_count)
+                wrong += np.count_nonzero(const.point_bit(j_hat) != bits[c])
+            else:
+                k = (j[c] - m[c]) & (2 * m_count - 1)  # offset from the axis, mod 2M = 2^b
+                wrong += np.count_nonzero(rng.random(size) < tables[kind][k])
+        return int(wrong)
 
     bob_err = errors(cfg.bob_receiver.kind)
     eve_err = errors(EVE_STRATEGIES[cfg.eve_strategy]) if cfg.eve_strategy != "none" else 0
@@ -211,9 +228,11 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
 
     eve_kind = EVE_STRATEGIES.get(cfg.eve_strategy)
     keyed = {cfg.bob_receiver.kind, eve_kind} - {None}
-    needs_phase = "phase" in keyed or (cfg.eve_strategy != "none" and eve_kind is None)
-    sampler = PhaseSampler(cfg.s) if needs_phase else None
+    nearest = cfg.eve_strategy != "none" and eve_kind is None
+    sampler = PhaseSampler(cfg.s) if nearest or "phase" in keyed else None
     tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler) for kind in keyed}
+    if not nearest:
+        sampler = None  # only the nearest-point Eve samples; free its CDF before the pool
 
     task = partial(_run_batch, cfg, const, sampler, tables)
     counts = []

@@ -125,6 +125,42 @@ class TestEncodeDecode:
         expected = [decode_lenient(int(a), int(b), c) for a, b in zip(j, basis)]
         assert decode_lenient(j, basis, c).tolist() == expected
 
+    @pytest.mark.parametrize("m", [1, 2, 32, 1 << 15, 1 << 16])
+    @pytest.mark.parametrize("mapping", ["alternating", "plain"])
+    def test_point_dtype_boundary_matches_int64_formula(self, m, mapping):
+        """uint16 up to M = 2^15, int64 from M = 2^16: both equal the int64 formula
+        on every (bit, basis) and on every point against every basis in a sample."""
+        c = Constellation(m, mapping)
+        assert c.point_dtype == (np.uint16 if m <= 1 << 15 else np.int64)
+        polarity = (lambda b: b & 1) if mapping == "alternating" else (lambda b: 0)
+        basis = np.repeat(np.arange(m, dtype=np.int64), 2)
+        bits = np.tile(np.array([0, 1], dtype=np.int64), m)
+        j = encode(bits, basis, c)
+        assert j.dtype == c.point_dtype
+        assert np.array_equal(j, basis + (bits ^ polarity(basis)) * m)
+
+        points = np.arange(2 * m, dtype=np.int64)  # in and out of the keyed pair
+        for b in sorted({0, 1, m // 2, m - 1}):
+            keyed = np.full(points.size, b, dtype=np.int64)
+            want = (points - keyed) % (2 * m) // m ^ polarity(keyed)
+            got = decode_lenient(points, keyed.astype(np.uint16), c)  # as bases() gives them
+            assert got.dtype == c.point_dtype
+            assert np.array_equal(got, want)
+            assert decode_lenient(int(points[-1]), b, c) == int(want[-1])
+
+    @pytest.mark.parametrize("m", [2, 1 << 15, 1 << 16])
+    def test_scalars_give_int_and_float_bits_raise(self, m):
+        c = Constellation(m)
+        assert type(encode(1, m - 1, c)) is int
+        assert type(decode_lenient(encode(1, m - 1, c), m - 1, c)) is int
+        assert decode_lenient(-1, 0, c) == 1  # the point 2M - 1
+        with pytest.raises(TypeError):
+            encode(1.0, 0, c)
+        with pytest.raises(TypeError):
+            encode(np.array([0.0, 1.0]), np.array([0, 1]), c)
+        with pytest.raises(TypeError):
+            decode_lenient(np.array([0.0]), np.array([0]), c)
+
 
 class TestDsrOffset:
     def test_identity_at_zero(self):
@@ -294,6 +330,38 @@ def test_bits_split_into_calls_matches_one_call(poly, seed, calls):
         pos += n
         assert gen.register == sum(int(b) << i for i, b in enumerate(ref[pos:pos + degree]))
     assert np.array_equal(KeystreamGen(seed, taps, degree).bits(total), ref[:total])
+
+
+@pytest.mark.parametrize("taps, degree, calls", [
+    ((32, 22, 2, 1), 32, [400_000] * 3),
+    ((127, 126, 124, 120), 127, [700_000, 1000]),
+])
+def test_bits_history_is_capped(taps, degree, calls):
+    """Calls long enough to reach HISTORY_BITS keep at most that much history and
+    still continue the bit-serial reference, register included."""
+    from alphaeta.cipher import HISTORY_BITS, _lfsr_fill_py
+    seed = 0x9E3779B97F4A7C15F39CC0605CEDC835 % ((1 << degree) - 1) + 1
+    ref = np.empty(sum(calls) + degree, dtype=np.uint8)
+    _lfsr_fill_py(seed, [t - 1 for t in taps], degree - 1, ref)
+    gen = KeystreamGen(seed, taps, degree)
+    pos = 0
+    for n in calls:
+        assert np.array_equal(gen.bits(n), ref[pos:pos + n])
+        pos += n
+        assert gen.register == sum(int(b) << i for i, b in enumerate(ref[pos:pos + degree]))
+        assert degree <= gen._tail.size <= max(degree, HISTORY_BITS)
+
+
+def test_bits_keeps_the_register_when_the_cap_is_below_the_degree(monkeypatch):
+    from alphaeta import cipher
+    monkeypatch.setattr(cipher, "HISTORY_BITS", 16)
+    taps, degree = (89, 51), 89
+    ref = np.empty(3000 + degree, dtype=np.uint8)
+    cipher._lfsr_fill_py(12345, [t - 1 for t in taps], degree - 1, ref)
+    gen = KeystreamGen(12345, taps, degree)
+    assert np.array_equal(gen.bits(1000), ref[:1000])
+    assert gen._tail.size == degree
+    assert np.array_equal(gen.bits(2000), ref[1000:3000])
 
 
 @settings(max_examples=60, deadline=None)
