@@ -1,15 +1,23 @@
 """End-to-end Monte Carlo engine for the keyed-constellation link.
 
-A keyed receiver's error depends only on the sent point's offset from the basis
-axis, so each keyed trial is one uniform draw against a per-offset error table
-built once per run from the receiver's law; keyless nearest-point Eve samples
-the canonical phase.
+A keyed receiver's error depends only on the sent point's offset k from the
+basis axis, so a run builds one per-offset error table per keyed receiver from
+its law, and a batch decides its keyed trials as counts: given the histogram of
+k over the batch, the receiver's errors are one binomial draw per offset cell,
+which is exact in distribution.  Keyless nearest-point Eve samples the
+canonical phase trial by trial.
+
+k = (bit ^ polarity(m)) * M + dither is uniform over its cells whatever the
+basis m, so the keystream is drawn only for a nearest-point Eve; in a
+keyed-only run seed_key does not affect the counts, but it is still validated
+and echoed in the report.
 
 Trials run in fixed batches of 65536; batch i draws from an RNG stream
-keyed by (master_seed, i) and takes the keystream's i-th slice of bases,
-so results are bit-identical regardless of how many workers execute the
-batches.  The keystream is drawn batch by batch as the pool consumes it, so
-memory is bounded by the batch size, not the trial count.
+keyed by (master_seed, i) and, with a nearest-point Eve, takes the
+keystream's i-th slice of bases, so results are bit-identical regardless of
+how many workers execute the batches.  The keystream is drawn batch by batch
+as the pool consumes it, so memory is bounded by the batch size, not the
+trial count.
 """
 
 from __future__ import annotations
@@ -169,44 +177,60 @@ def offset_error_table(kind: str, s: float, m_count: int,
     return per_angle[np.minimum(steps, m_count - steps)]
 
 
-def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | None,
-               tables: dict[str, np.ndarray], batch: int, m: np.ndarray) -> tuple[int, int]:
-    """Bob's and Eve's error counts over batch `batch`, whose keyed bases are m.
+def offset_histogram(rng: np.random.Generator, n: int, m_count: int, d: int) -> np.ndarray:
+    """Counts over k < 2M of the offsets k = (bit ^ polarity(m)) * M + dither mod 2M of
+    n keyed trials: one multinomial draw over the 2(2d+1) equally likely cells."""
+    dither = np.arange(-d, d + 1)
+    cells = np.concatenate((dither, dither + m_count)) % (2 * m_count)
+    hist = np.zeros(2 * m_count, dtype=np.int64)
+    hist[cells] = rng.multinomial(n, np.full(cells.size, 1.0 / cells.size))
+    return hist
 
-    The batch draws its bits, then its DSR dithers, then Bob's and then Eve's
-    samples, each as consecutive CHUNK_SIZE-trial calls, which give the same
-    values as one call.  Only the bits (uint8) and the sent points (in the
-    constellation's point dtype) span the batch; every other array spans a chunk.
+
+def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | None,
+               tables: dict[str, np.ndarray], batch: int, n: int,
+               m: np.ndarray | None) -> tuple[int, int]:
+    """Bob's and Eve's error counts over the n trials of batch `batch`.
+
+    Every keyed receiver is decided from the batch's offset histogram.  Without a
+    nearest-point Eve (m None) the histogram is one multinomial draw.  Otherwise
+    m holds the keyed bases, and the batch draws its bits and DSR dithers as
+    consecutive CHUNK_SIZE-trial calls (which give the same values as one call)
+    and counts k = (j - m) mod 2M; only the bits (uint8) and the sent points (in
+    the constellation's point dtype) span the batch.  Bob's and then Eve's
+    decisions follow.
     """
     m_count = cfg.m_bases
-    n = m.size
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
-    chunks = [slice(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
-
-    bits = np.empty(n, dtype=np.uint8)
-    for c in chunks:
-        bits[c] = rng.integers(0, 2, size=c.stop - c.start, dtype=np.int64)
-    j = np.empty(n, dtype=const.point_dtype)
-    for c in chunks:
-        j[c] = dsr_offset(rng, cfg.dsr_d, encode(bits[c], m[c], const), m_count)
+    if m is None:
+        hist = offset_histogram(rng, n, m_count, cfg.dsr_d)
+    else:
+        chunks = [slice(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
+        bits = np.empty(n, dtype=np.uint8)
+        for c in chunks:
+            bits[c] = rng.integers(0, 2, size=c.stop - c.start, dtype=np.int64)
+        j = np.empty(n, dtype=const.point_dtype)
+        hist = np.zeros(2 * m_count, dtype=np.int64)
+        for c in chunks:
+            j[c] = dsr_offset(rng, cfg.dsr_d, encode(bits[c], m[c], const), m_count)
+            # offset from the axis, mod 2M = 2^b
+            hist += np.bincount((j[c] - m[c]) & (2 * m_count - 1), minlength=2 * m_count)
 
     def errors(kind: str | None) -> int:
         """Wrong decisions of receiver `kind`: the one decision kernel of Bob and Eve.
 
-        A keyed receiver errs with the probability p_err[k] of its table: one
-        uniform draw per trial.  kind None has no key: it snaps a canonical-phase
-        outcome to the nearest of all 2M points and reads that point's bit.
+        A keyed receiver errs with the probability p_err[k] of its table, so its
+        errors in offset cell k are one Binomial(hist[k], p_err[k]) draw, exact
+        in distribution.  kind None has no key: it snaps a canonical-phase outcome
+        to the nearest of all 2M points and reads that point's bit.
         """
+        if kind is not None:
+            return int(rng.binomial(hist, tables[kind]).sum())
         wrong = 0
         for c in chunks:
-            size = c.stop - c.start
-            if kind is None:
-                phi_hat = wrap_angle(sampler.sample(rng, size) + np.pi * j[c] / m_count)
-                j_hat = np.rint(phi_hat * m_count / np.pi).astype(np.int64) % (2 * m_count)
-                wrong += np.count_nonzero(const.point_bit(j_hat) != bits[c])
-            else:
-                k = (j[c] - m[c]) & (2 * m_count - 1)  # offset from the axis, mod 2M = 2^b
-                wrong += np.count_nonzero(rng.random(size) < tables[kind][k])
+            phi_hat = wrap_angle(sampler.sample(rng, c.stop - c.start) + np.pi * j[c] / m_count)
+            j_hat = np.rint(phi_hat * m_count / np.pi).astype(np.int64) % (2 * m_count)
+            wrong += np.count_nonzero(const.point_bit(j_hat) != bits[c])
         return int(wrong)
 
     bob_err = errors(cfg.bob_receiver.kind)
@@ -217,18 +241,19 @@ def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | Non
 def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
     """Simulate cfg.trials symbols; deterministic for a fixed master_seed.
 
-    The calling thread draws each batch's bases, in batch order, while the pool
-    works on earlier batches; at most 2 * workers batches are in flight.
+    With a nearest-point Eve the calling thread draws each batch's bases, in
+    batch order, while the pool works on earlier batches; at most 2 * workers
+    batches are in flight.
     """
     cfg.validate()
     if workers < 1:
         raise ValueError("workers must be >= 1")
     const = Constellation(cfg.m_bases, cfg.mapping)
-    gen = KeystreamGen.from_hex(cfg.seed_key)
 
     eve_kind = EVE_STRATEGIES.get(cfg.eve_strategy)
     keyed = {cfg.bob_receiver.kind, eve_kind} - {None}
     nearest = cfg.eve_strategy != "none" and eve_kind is None
+    gen = KeystreamGen.from_hex(cfg.seed_key) if nearest else None
     sampler = PhaseSampler(cfg.s) if nearest or "phase" in keyed else None
     tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler) for kind in keyed}
     if not nearest:
@@ -239,8 +264,9 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
     in_flight = deque()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         for batch, lo in enumerate(range(0, cfg.trials, BATCH_SIZE)):
-            m = gen.bases(cfg.m_bases, min(BATCH_SIZE, cfg.trials - lo))
-            in_flight.append(pool.submit(task, batch, m))
+            n = min(BATCH_SIZE, cfg.trials - lo)
+            m = gen.bases(cfg.m_bases, n) if nearest else None
+            in_flight.append(pool.submit(task, batch, n, m))
             if len(in_flight) >= 2 * workers:
                 counts.append(in_flight.popleft().result())
         counts += [f.result() for f in in_flight]

@@ -1,8 +1,12 @@
-"""Sampled keyed receivers: the reference that the per-offset error tables replace.
+"""Sampled keyed receivers and per-trial keyed decisions: the references that the
+engine's per-offset error tables and count-level draws replace.
 
-Each draws a continuous outcome for a point at angle phi_signal and decides on
-which side of the basis axis it falls.  The Monte Carlo engine no longer draws
-these outcomes; tests check that its one-draw table decisions have their law.
+The samplers draw a continuous outcome for a point at angle phi_signal and
+decide on which side of the basis axis it falls.  The Monte Carlo engine no
+longer draws these outcomes; tests check that its table decisions have their
+law.  per_trial_keyed_errors decides each trial with its own uniform draw
+against the table; tests check that the engine's binomial draws per offset cell
+have its law.
 
 Quadrature convention: x = (a + a^dag)/2, vacuum variance 1/4 per quadrature.
 Homodyne sees that vacuum noise directly; heterodyne pays one extra vacuum
@@ -12,6 +16,9 @@ unit, i.e. variance 1/2 per quadrature.
 import math
 
 import numpy as np
+
+from alphaeta.cipher import Constellation, dsr_offset, encode
+from alphaeta.receivers import EVE_STRATEGIES
 
 
 def sample_heterodyne(s: float, cos_offset, cos_axis, sin_axis, rng: np.random.Generator,
@@ -42,3 +49,25 @@ def half_planes(sampler, m_count: int) -> tuple[np.ndarray, np.ndarray]:
     start = -np.pi / 2 - np.pi * np.arange(2 * m_count) / m_count
     lo = cdf(start)
     return lo % 1.0, cdf(start + np.pi) - lo
+
+
+def per_trial_keyed_errors(cfg, tables: dict[str, np.ndarray], batch: int, m: np.ndarray):
+    """Bob's and keyed Eve's error counts, and the offsets k, of the trials of batch
+    `batch` with keyed bases m, decided trial by trial.
+
+    The batch draws its bits from the (master_seed, batch) stream, then its DSR
+    dithers, sends j = encode(bit, m) + dither and takes k = (j - m) mod 2M; Bob's
+    and then Eve's trials each err when one uniform u < p_err[k].
+    """
+    const = Constellation(cfg.m_bases, cfg.mapping)
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
+    bits = rng.integers(0, 2, size=m.size)
+    j = dsr_offset(rng, cfg.dsr_d, encode(bits, m, const).astype(np.int64), cfg.m_bases)
+    k = (j - m) % (2 * cfg.m_bases)
+
+    def errors(kind: str) -> int:
+        return int(np.count_nonzero(rng.random(m.size) < tables[kind][k]))
+
+    bob = errors(cfg.bob_receiver.kind)
+    eve = errors(EVE_STRATEGIES[cfg.eve_strategy]) if cfg.eve_strategy != "none" else 0
+    return bob, eve, k

@@ -212,24 +212,29 @@ class TestSimulate:
         assert wall < 10.0 and peak_mb < 200
 
     @READS_VMHWM
-    def test_memory_bounded_by_chunk(self):
+    @pytest.mark.parametrize("eve", ["phase-deferred", "nearest-point"])
+    def test_memory_bounded_by_chunk(self, eve):
         """32 batches on 4 workers peak within 6 MB of one batch on one: each pool
-        thread holds one batch's compact arrays and chunk-sized temporaries."""
+        thread holds one batch's offset counts and, for a nearest-point Eve, its
+        compact arrays and chunk-sized temporaries."""
         def peak_rss_mb(trials, workers):
             return run_child("simulate", "--s", "7", "--m", "32", "--bob", "heterodyne",
-                             "--eve", "phase-deferred", "--trials", str(trials),
+                             "--eve", eve, "--trials", str(trials),
                              "--workers", str(workers), "--master-seed", "5")[1]
 
         assert peak_rss_mb(1 << 21, 4) < peak_rss_mb(1 << 16, 1) + 6
 
-    def test_int64_points_above_m_2_15(self):
-        """M = 2^16 has 2^17 points, past uint16: the int64 branch of the batch."""
+    @pytest.mark.parametrize("eve", ["phase-deferred", "nearest-point"])
+    def test_int64_points_above_m_2_15(self, eve):
+        """M = 2^16 has 2^17 points, past uint16: 2^17 offset cells, and the int64
+        sent points of a nearest-point batch."""
         code, out = run_cli("simulate", "--s", "1", "--m", "65536", "--dsr-d", "3",
-                            "--eve", "phase-deferred", "--trials", "70000")
+                            "--eve", eve, "--trials", "70000")
         assert code == 0
         doc = json.loads(out)
         for who in ("bob", "eve"):
-            assert doc[who]["ci_low"] <= doc[f"analytic_{who}"] <= doc[who]["ci_high"]
+            if doc[f"analytic_{who}"] is not None:  # nearest-point Eve has no law
+                assert doc[who]["ci_low"] <= doc[f"analytic_{who}"] <= doc[who]["ci_high"]
 
     def test_report_validates_against_schema(self):
         schema = json.loads((SCHEMA_DIR / "trial_report.schema.json").read_text())

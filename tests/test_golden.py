@@ -80,21 +80,21 @@ DIGESTS = {
     "keyrate-s-het":
         "366a53b759f9ccda65f6576824d1d90b57338cec71a5d556ad8fd975ccec9fb3",
     "sim-heterodyne-hetdeferred":
-        "b4d14199b0aa985fd44d1405ae0921a5ee69c6e7aadb36d5c73473416db45cae",
+        "87e8cc9b3a6155d5b3baecfc50244c8ac3e1fe30400bc8b66300b7abf7990e6b",
     "sim-heterodyne-hetdeferred-w2":
-        "b4d14199b0aa985fd44d1405ae0921a5ee69c6e7aadb36d5c73473416db45cae",
+        "87e8cc9b3a6155d5b3baecfc50244c8ac3e1fe30400bc8b66300b7abf7990e6b",
     "sim-homodyne-phasedeferred-plain":
-        "4b923551c6aeeabc61cf2c4c25e0ac34f95808445a52015b6bafd566e30bdbac",
+        "9636ee0b8e3aebcea111400aec29dda69083fe592b6fabb5eb98ec549a8045be",
     "sim-optimal":
-        "206552ec7e6df27f78ff5c9aa0618a43cfa785b2dbe77645024032c43ba37ac7",
+        "eba715090ece8f1bc06ee5744c451fdd0465b44d2db993f6b0f9f67e2b6e0539",
     "sim-optimal-hetdeferred-plain":
-        "2b2e569b2f35a4a6320f1deae6bc4f52e9b1f2824c954b821ca6813fd3f821b6",
+        "609dce8b715f0bb984945795a465bc7a75f4025ed1bd22c97d30020cc4cce566",
     "sim-phase-dsr":
-        "50c7abca8aac5ceba289f0777ba61c887e26b943ddb76c4243bf15eba2190859",
+        "3de61f0b73cf85672e7a9c69da840aeb668a2924137e3a3fc551ff600e81e8be",
     "sim-phase-nearest":
-        "54eaa8596ae909cb17fd62681b4f499aa7f0d314536d092a5422f7d9040421ff",
+        "cb02223763752343b05988fd34467deb9a75f11c42cda8f5a4f5c68141c266a4",
     "sim-phase-nearest-plain-w2":
-        "a49dee7dfc4cc194e69a00d272a5a45cde819cd36e49ac6e2cbc295d620feb2d",
+        "83fe00bc9e968be28e5404b253c1f0475d169dda7018f99cb77789f7e3df93a2",
 }
 
 
