@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .names import MAPPINGS
+
 DEFAULT_DEGREE = 32
 DEFAULT_TAPS = (32, 22, 2, 1)  # maximal-length polynomial x^32+x^22+x^2+x+1
-
-MAPPINGS = ("alternating", "plain")
 HISTORY_BITS = 1 << 18  # keystream history kept across bits() calls (at least the degree)
 
 
@@ -239,3 +239,24 @@ class KeystreamGen:
             out <<= 1
             out |= bits[:, col]
         return out
+
+
+def encrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:
+    """Ciphertext body of a plaintext chunk: one little-endian u16 point per bit, MSB first."""
+    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))
+    points = encode(bits, gen.bases(const.m_bases, bits.size), const)
+    return points.astype("<u2", copy=False).tobytes()
+
+
+def decrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:
+    """Plaintext bytes of a chunk of ciphertext body; ValueError names a malformed one."""
+    if len(chunk) % 2:
+        raise ValueError("ciphertext body has an odd number of bytes; "
+                         "each point index takes two")
+    points = np.frombuffer(chunk, dtype="<u2")
+    if points.max() >= const.num_points:
+        raise ValueError("ciphertext contains out-of-range point indices")
+    if points.size % 8 != 0:
+        raise ValueError("ciphertext bit count is not a whole number of bytes")
+    bits = decode_lenient(points, gen.bases(const.m_bases, points.size), const)
+    return np.packbits(bits.astype(np.uint8)).tobytes()

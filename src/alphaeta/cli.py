@@ -4,6 +4,18 @@ Subcommands: ber-table, eve-nokey, simulate, keyrate, encrypt, decrypt.
 Outputs are CSV or JSON (deterministic byte-for-byte for fixed flags);
 exit codes: 0 success, 2 usage/config error, 1 computation failure.
 
+This module needs only the standard library: the parser takes its choices
+from names.py, so --help, a bad flag or a bad config file is answered
+without loading numpy.  Each command checks the flags it can check on its
+own, then imports its engine:
+
+    ber-table   receivers (with cipher and fock)
+    eve-nokey   receivers (with cipher and fock)
+    simulate    montecarlo (with receivers, cipher and fock)
+    keyrate     keyrate (with receivers, cipher and fock)
+    encrypt     cipher
+    decrypt     cipher
+
 Ciphertext format: 16-byte header (magic "Y00STRM1", u16 version, u16 M,
 u8 mapping code, 3 reserved bytes) followed by one little-endian u16
 point index per plaintext bit.  There is no integrity check: decrypting
@@ -22,11 +34,7 @@ import struct
 import sys
 from functools import partial
 
-import numpy as np
-
-from .cipher import Constellation, KeystreamGen, MAPPINGS, decode_lenient, encode
-from .keyrate import KEYRATE_EVE_STRATEGIES, key_rate, key_rate_vs_s
-from .receivers import EVE_STRATEGIES, RECEIVER_KINDS, ReceiverModel, eve_nokey_helstrom
+from .names import EVE_STRATEGIES, KEYRATE_EVE_STRATEGIES, MAPPINGS, RECEIVER_KINDS
 
 MAGIC = b"Y00STRM1"
 FORMAT_VERSION = 1
@@ -76,6 +84,8 @@ def _emit_table(args, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_ber_table(args) -> int:
+    from .receivers import ReceiverModel, signal_grid
+
     try:
         receivers = [ReceiverModel(r.strip(), args.resolution)
                      for r in args.receivers.split(",") if r.strip()]
@@ -85,17 +95,14 @@ def cmd_ber_table(args) -> int:
         raise UsageError(f"receivers must be a comma list from {RECEIVER_KINDS}")
     if not 0 <= args.s_min <= args.s_max < math.inf or args.steps < 2:
         raise UsageError("need finite 0 <= s-min <= s-max and steps >= 2")
-    grid = np.linspace(args.s_min, args.s_max, args.steps)
-    if args.s_min == args.s_max:
-        grid = grid[:1]
     header = ["S"]
     for r in receivers:
         header += [f"{r.kind}_exact", f"{r.kind}_asymptotic"]
     rows = []
-    for s in grid:
-        row = [float(s)]
+    for s in signal_grid(args.s_min, args.s_max, args.steps):
+        row = [s]
         for r in receivers:
-            law = r.law(float(s))
+            law = r.law(s)
             row += [law.exact, law.asymptotic]
         rows.append(row)
     _emit_table(args, header, rows)
@@ -105,6 +112,9 @@ def cmd_ber_table(args) -> int:
 def cmd_eve_nokey(args) -> int:
     if not (math.isfinite(args.s) and args.s >= 0):
         raise UsageError("--s must be finite and >= 0")
+    from .cipher import Constellation
+    from .receivers import eve_nokey_helstrom
+
     try:
         consts = [Constellation(int(m), args.mapping) for m in args.m_list.split(",")]
     except ValueError as exc:
@@ -115,12 +125,11 @@ def cmd_eve_nokey(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # imported here so that the other commands do not load the Monte Carlo
-    # engine and its thread pool
-    from .montecarlo import SimConfig, run_simulation
-
     if args.workers < 1:
         raise UsageError("workers must be >= 1")
+    from .montecarlo import SimConfig, run_simulation
+    from .receivers import ReceiverModel
+
     try:
         cfg = SimConfig(
             s=args.s, m_bases=args.m, mapping=args.mapping, seed_key=args.seed_key,
@@ -148,6 +157,8 @@ def cmd_keyrate(args) -> int:
             raise UsageError(f"{name} must lie in [0, 1]")
     if not args.line_rate > 0:
         raise UsageError("--line-rate must be positive")
+    from .keyrate import key_rate, key_rate_vs_s
+
     if args.s is not None:
         report = key_rate_vs_s([args.s], args.eve, args.line_rate)[0]
     else:
@@ -165,7 +176,8 @@ def _pack_header(m_bases: int, mapping: str) -> bytes:
     return MAGIC + struct.pack("<HHB3x", FORMAT_VERSION, m_bases, MAPPING_CODES[mapping])
 
 
-def _parse_header(blob: bytes) -> Constellation:
+def _parse_header(blob: bytes) -> tuple[int, str]:
+    """M and mapping of a ciphertext header."""
     if len(blob) < HEADER_BYTES or blob[:8] != MAGIC:
         raise ValueError("not a ciphertext stream (bad magic)")
     version, m_bases, code = struct.unpack("<HHB3x", blob[8:HEADER_BYTES])
@@ -173,7 +185,7 @@ def _parse_header(blob: bytes) -> Constellation:
         raise ValueError(f"unsupported ciphertext version {version}")
     if code not in MAPPING_NAMES:
         raise ValueError(f"unknown mapping code {code}")
-    return Constellation(m_bases, MAPPING_NAMES[code])  # raises on an M that is no power of 2
+    return m_bases, MAPPING_NAMES[code]
 
 
 def _check_distinct_paths(args) -> None:
@@ -200,28 +212,11 @@ def _stream(src, out_path: str, head: bytes, chunk_bytes: int, convert) -> None:
         raise
 
 
-def _encrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:
-    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))
-    points = encode(bits, gen.bases(const.m_bases, bits.size), const)
-    return points.astype("<u2", copy=False).tobytes()
-
-
-def _decrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:
-    if len(chunk) % 2:
-        raise ValueError("ciphertext body has an odd number of bytes; "
-                         "each point index takes two")
-    points = np.frombuffer(chunk, dtype="<u2")
-    if points.max() >= const.num_points:
-        raise ValueError("ciphertext contains out-of-range point indices")
-    if points.size % 8 != 0:
-        raise ValueError("ciphertext bit count is not a whole number of bytes")
-    bits = decode_lenient(points, gen.bases(const.m_bases, points.size), const)
-    return np.packbits(bits.astype(np.uint8)).tobytes()
-
-
 def cmd_encrypt(args) -> int:
     if args.m > MAX_M:
         raise UsageError(f"--m must be <= {MAX_M}: the ciphertext stores point indices as u16")
+    from .cipher import Constellation, KeystreamGen, encrypt_chunk
+
     try:
         const = Constellation(args.m, args.mapping)
         gen = KeystreamGen.from_hex(args.seed_key)
@@ -230,13 +225,16 @@ def cmd_encrypt(args) -> int:
     with open(args.input, "rb") as src:
         _check_distinct_paths(args)
         _stream(src, args.output, _pack_header(args.m, args.mapping), CHUNK_BYTES,
-                partial(_encrypt_chunk, gen, const))
+                partial(encrypt_chunk, gen, const))
     return 0
 
 
 def cmd_decrypt(args) -> int:
+    from .cipher import Constellation, KeystreamGen, decrypt_chunk
+
     with open(args.input, "rb") as src:
-        const = _parse_header(src.read(HEADER_BYTES))
+        # raises on an M that is no power of 2
+        const = Constellation(*_parse_header(src.read(HEADER_BYTES)))
         if args.m is not None and args.m != const.m_bases:
             raise UsageError(f"--m {args.m} conflicts with ciphertext header M={const.m_bases}")
         if args.mapping is not None and args.mapping != const.mapping:
@@ -247,7 +245,7 @@ def cmd_decrypt(args) -> int:
             raise UsageError(str(exc)) from None
         _check_distinct_paths(args)
         # 16 body bytes (8 u16 points) per plaintext byte
-        _stream(src, args.output, b"", 16 * CHUNK_BYTES, partial(_decrypt_chunk, gen, const))
+        _stream(src, args.output, b"", 16 * CHUNK_BYTES, partial(decrypt_chunk, gen, const))
     return 0
 
 

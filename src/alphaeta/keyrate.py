@@ -12,10 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .receivers import EVE_STRATEGIES, ReceiverModel, helstrom_pure_antipodal
-
-# the strategies with a closed-form BER: those that learn the basis afterwards
-KEYRATE_EVE_STRATEGIES = tuple(name for name, kind in EVE_STRATEGIES.items() if kind)
+from .names import EVE_STRATEGIES, KEYRATE_EVE_STRATEGIES
+from .receivers import ReceiverModel, helstrom_pure_antipodal
 
 
 def binary_entropy(p: float) -> float:
@@ -52,10 +50,9 @@ def key_rate(p_bob: float, p_eve: float, line_rate: float) -> KeyRateReport:
 def key_rate_vs_s(s_values: list[float], eve_strategy: str,
                   line_rate: float) -> list[KeyRateReport]:
     """Rate sweep with Bob at the optimum keyed receiver and Eve deferring her decision."""
-    kind = EVE_STRATEGIES.get(eve_strategy)
-    if kind is None:
+    if eve_strategy not in KEYRATE_EVE_STRATEGIES:
         raise ValueError(f"{eve_strategy!r} is not a deferred eve strategy")
-    eve = ReceiverModel(kind)
+    eve = ReceiverModel(EVE_STRATEGIES[eve_strategy])
     reports = []
     for s in s_values:
         if s < 0:

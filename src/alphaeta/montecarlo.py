@@ -215,17 +215,20 @@ def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | Non
             j[c] = dsr_offset(rng, cfg.dsr_d, encode(bits[c], m[c], const), m_count)
             # offset from the axis, mod 2M = 2^b
             hist += np.bincount((j[c] - m[c]) & (2 * m_count - 1), minlength=2 * m_count)
+    occupied = np.flatnonzero(hist)
 
     def errors(kind: str | None) -> int:
         """Wrong decisions of receiver `kind`: the one decision kernel of Bob and Eve.
 
         A keyed receiver errs with the probability p_err[k] of its table, so its
         errors in offset cell k are one Binomial(hist[k], p_err[k]) draw, exact
-        in distribution.  kind None has no key: it snaps a canonical-phase outcome
-        to the nearest of all 2M points and reads that point's bit.
+        in distribution.  Only the occupied cells are drawn: a draw with n = 0
+        returns 0 without consuming the stream, so this gives the same counts as
+        a draw over all 2M cells.  kind None has no key: it snaps a canonical-phase
+        outcome to the nearest of all 2M points and reads that point's bit.
         """
         if kind is not None:
-            return int(rng.binomial(hist, tables[kind]).sum())
+            return int(rng.binomial(hist[occupied], tables[kind][occupied]).sum())
         wrong = 0
         for c in chunks:
             phi_hat = wrap_angle(sampler.sample(rng, c.stop - c.start) + np.pi * j[c] / m_count)

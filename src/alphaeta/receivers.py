@@ -3,9 +3,10 @@
 Four receivers are covered: the optimum (Helstrom) binary measurement,
 the canonical phase measurement, homodyne and heterodyne detection.
 The exact laws come with their asymptotic exponential envelopes
-e^{-4S}, e^{-2S}, e^{-2S} and e^{-S} respectively.  BER_LAWS and
-EVE_STRATEGIES are the one table that pairs each receiver and each
-eavesdropper strategy with its law.  Also here: the no-key Helstrom bound
+e^{-4S}, e^{-2S}, e^{-2S} and e^{-S} respectively.  BER_LAWS, keyed by
+RECEIVER_KINDS, is the one table that pairs each receiver with its law;
+EVE_STRATEGIES pairs each eavesdropper strategy with a receiver kind (both
+name tables live in names.py).  Also here: the no-key Helstrom bound
 over the full constellation mixture.
 """
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .cipher import Constellation
 from .fock import log_poisson, phase_distribution, photon_window
+from .names import EVE_STRATEGIES, RECEIVER_KINDS
 
 # receiver kind -> law(s, resolution); the resolution only matters for "phase".
 # The lambdas look each law up by name at call time, so the wrappers that
@@ -27,18 +29,6 @@ BER_LAWS = {
     "phase": lambda s, resolution: canonical_phase_antipodal(s, resolution),
     "homodyne": lambda s, resolution: homodyne_antipodal(s),
     "heterodyne": lambda s, resolution: heterodyne_antipodal(s),
-}
-RECEIVER_KINDS = tuple(BER_LAWS)
-
-# Eve strategy -> the receiver kind whose law she reaches once the basis is
-# revealed: a deferred strategy stores its continuous outcome and loses nothing
-# by deciding later.  None: she never learns the basis ("nearest-point" snaps a
-# phase outcome to the closest of all 2M points).  "none" (no eavesdropper) is
-# not a strategy.
-EVE_STRATEGIES = {
-    "phase-deferred": "phase",
-    "heterodyne-deferred": "heterodyne",
-    "nearest-point": None,
 }
 
 
@@ -178,3 +168,9 @@ def exponent_fit(points: list[tuple[float, float]]) -> float:
         raise ValueError("S values must be strictly increasing")
     slope, _ = np.polyfit(s_vals, np.log(p_vals), 1)
     return float(slope)
+
+
+def signal_grid(s_min: float, s_max: float, steps: int) -> list[float]:
+    """steps evenly spaced signal levels from s_min to s_max; one level when they are equal."""
+    grid = np.linspace(s_min, s_max, steps)
+    return (grid[:1] if s_min == s_max else grid).tolist()

@@ -18,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alphaeta
-from alphaeta.cipher import MAPPINGS
+from alphaeta import cipher, keyrate, names, receivers
+from alphaeta.cipher import MAPPINGS, Constellation
 from alphaeta.cli import CHUNK_BYTES, MAX_M, build_parser, main
-from alphaeta.receivers import BER_LAWS, EVE_STRATEGIES
+from alphaeta.keyrate import KEYRATE_EVE_STRATEGIES, key_rate_vs_s
+from alphaeta.receivers import BER_LAWS, EVE_STRATEGIES, RECEIVER_KINDS
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 READS_VMHWM = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
@@ -47,6 +49,25 @@ def run_child(*argv, probe="pass", timeout=120):
     run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
                          text=True, timeout=timeout, check=True)
     return run.stdout, int(run.stderr.split()[-2]) / 1024  # "VmHWM: <n> kB"
+
+
+def run_fresh(*argv, setup="main(sys.argv[1:])"):
+    """Run setup (by default main(argv)) in a fresh interpreter.
+
+    Returns (exit code, stdout, stderr, loaded): loaded is the set of numpy and
+    alphaeta modules in sys.modules once setup has returned or exited.
+    """
+    code = ("import json, sys\n"
+            "from alphaeta.cli import build_parser, main\n"
+            f"try:\n    code = {setup}\nexcept SystemExit as exc:\n    code = exc.code\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m == 'numpy' or m.startswith('alphaeta.'))))\n"
+            "sys.exit(code if isinstance(code, int) else 0)")
+    env = dict(os.environ, PYTHONPATH=str(Path(alphaeta.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                         text=True, timeout=120)
+    *out, loaded = run.stdout.splitlines(keepends=True)
+    return run.returncode, "".join(out), run.stderr, set(json.loads(loaded))
 
 
 def parse_csv(text):
@@ -170,7 +191,7 @@ class TestEveNokey:
     def test_out_of_memory_is_computation_error(self, monkeypatch, capsys, exc):
         def exhausted(*args):
             raise exc
-        monkeypatch.setattr("alphaeta.cli.eve_nokey_helstrom", exhausted)
+        monkeypatch.setattr("alphaeta.receivers.eve_nokey_helstrom", exhausted)
         code, out = run_cli("eve-nokey", "--s", "7", "--m-list", "32768")
         err = capsys.readouterr().err
         assert code == 1 and out == ""
@@ -480,3 +501,78 @@ def test_flag_choices_match_the_registry():
     assert set(action("keyrate", "eve").choices) == {
         name for name, kind in EVE_STRATEGIES.items() if kind is not None}
     assert action("ber-table", "receivers").default.split(",") == list(BER_LAWS)
+
+
+def test_name_tables_are_defined_once():
+    for engine, name in ((cipher, "MAPPINGS"), (receivers, "RECEIVER_KINDS"),
+                         (receivers, "EVE_STRATEGIES"), (keyrate, "KEYRATE_EVE_STRATEGIES")):
+        assert getattr(engine, name) is getattr(names, name)
+    _, sub = build_parser()
+
+    def choices(command, dest):
+        return next(a for a in sub[command]._actions if a.dest == dest).choices
+
+    for command in ("eve-nokey", "simulate", "encrypt", "decrypt"):
+        assert choices(command, "mapping") == MAPPINGS
+    assert choices("simulate", "bob") == RECEIVER_KINDS == tuple(BER_LAWS)
+    assert choices("simulate", "eve") == (*EVE_STRATEGIES, "none")
+    assert choices("keyrate", "eve") == KEYRATE_EVE_STRATEGIES == tuple(
+        name for name, kind in EVE_STRATEGIES.items() if kind is not None)
+
+    for mapping in MAPPINGS:
+        assert Constellation(4, mapping).mapping == mapping
+    for mapping in ("Alternating", "gray", "", "none"):
+        with pytest.raises(ValueError):
+            Constellation(4, mapping)
+    for strategy in set(EVE_STRATEGIES) - set(KEYRATE_EVE_STRATEGIES):
+        with pytest.raises(ValueError):
+            key_rate_vs_s([1.0], strategy, 1e9)
+
+
+class TestImports:
+    """The front end loads no numerics; each command loads only its own engine."""
+
+    ENGINES = {f"alphaeta.{m}" for m in ("cipher", "receivers", "keyrate", "fock", "montecarlo")}
+
+    def test_parser_loads_no_engine(self):
+        code, _, _, loaded = run_fresh(setup="build_parser()")
+        assert code == 0
+        assert "numpy" not in loaded and not loaded & self.ENGINES
+
+    def test_file_cipher_loads_only_cipher(self, tmp_path):
+        pt, ct = tmp_path / "pt.bin", tmp_path / "ct.bin"
+        pt.write_bytes(b"alpha-eta")
+        key = ["--seed-key", "c0ffee"]
+        for command, src, dst in (("encrypt", pt, ct), ("decrypt", ct, tmp_path / "rt.bin")):
+            code, _, _, loaded = run_fresh(command, "--input", str(src), "--output", str(dst),
+                                           *key)
+            assert code == 0
+            assert loaded & self.ENGINES == {"alphaeta.cipher"}
+        assert (tmp_path / "rt.bin").read_bytes() == pt.read_bytes()
+
+    def test_eve_nokey_loads_no_keyrate_or_monte_carlo(self):
+        code, out, _, loaded = run_fresh("eve-nokey", "--s", "7", "--m-list", "1,2")
+        assert code == 0 and out.startswith("M,p_e\n")
+        assert "alphaeta.receivers" in loaded
+        assert not loaded & {"alphaeta.keyrate", "alphaeta.montecarlo"}
+
+    @pytest.mark.parametrize("argv, code, err", [
+        (["--help"], 0, ""),
+        (["simulate", "--s", "1", "--workers", "0"], 2, "error: workers must be >= 1\n"),
+        (["encrypt", "--input", "pt.bin", "--output", "ct.bin", "--seed-key", "1",
+          "--m", "65536"], 2,
+         "error: --m must be <= 32768: the ciphertext stores point indices as u16\n"),
+        (["keyrate", "--s", "7", "--p-bob", "0.1"], 2,
+         "error: give either --s or both --p-bob and --p-eve, not both\n"),
+        (["eve-nokey", "--s", "nan"], 2, "error: --s must be finite and >= 0\n"),
+        (["simulate", "--config", "{cfg}", "--s", "1"], 2,
+         "error: config line 1: unknown key 'warp-factor'\n"),
+    ], ids=["help", "workers-0", "encrypt-m-65536", "keyrate-s-and-p", "nokey-s-nan",
+            "config-unknown-key"])
+    def test_usage_error_exits_before_numpy(self, tmp_path, argv, code, err):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("warp-factor=9\n")
+        got, out, stderr, loaded = run_fresh(*(a.format(cfg=cfg) for a in argv))
+        assert (got, stderr) == (code, err)
+        assert out.startswith("usage: alphaeta") if argv == ["--help"] else out == ""
+        assert "numpy" not in loaded and not loaded & self.ENGINES

@@ -280,6 +280,30 @@ class TestCountLevelDecisions:
             assert stats.ttest_ind(a, b, equal_var=False).pvalue >= self.ALPHA
             assert stats.levene(a, b).pvalue >= self.ALPHA
 
+    @pytest.mark.parametrize("d", [0, 5])
+    def test_occupied_cells_give_the_all_cells_counts(self, d):
+        """At M = 2^15 a batch draws its binomials on the occupied offset cells only;
+        its counts, and the stream after each draw, are those of a draw over all 2M."""
+        cfg = _cfg(s=3.0, m_bases=1 << 15, eve_strategy="phase-deferred", dsr_d=d)
+        sampler = PhaseSampler(cfg.s)
+        tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler)
+                  for kind in ("heterodyne", "phase")}
+        const = Constellation(cfg.m_bases, cfg.mapping)
+        for batch in range(3):
+            rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
+            hist = offset_histogram(rng, BATCH_SIZE, cfg.m_bases, d)
+            all_cells = tuple(int(rng.binomial(hist, tables[kind]).sum())
+                              for kind in ("heterodyne", "phase"))
+            assert min(all_cells) > 0
+            assert _run_batch(cfg, const, None, tables, batch, BATCH_SIZE, None) == all_cells
+
+            occupied = np.flatnonzero(hist)
+            rng_all, rng_occupied = np.random.default_rng(batch), np.random.default_rng(batch)
+            p = tables["heterodyne"]
+            assert rng_all.binomial(hist, p).sum() == \
+                rng_occupied.binomial(hist[occupied], p[occupied]).sum()
+            assert rng_all.random() == rng_occupied.random()
+
     def test_seed_key_moves_only_nearest_point_counts(self):
         def report(eve, key, d):
             rep = run_simulation(_cfg(s=1.0, m_bases=8, eve_strategy=eve, seed_key=key,
