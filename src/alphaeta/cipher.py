@@ -1,29 +1,62 @@
-"""Keystream generation and the 2M-point phase constellation.
+"""Keystream generation, the 2M-point phase constellation and the file cipher.
 
 The running key comes from a Fibonacci LFSR seeded with the shared secret.
 Each transmitted symbol consumes log2(M) keystream bits to pick a basis;
 the data bit then selects one of the two antipodal points of that basis.
+
+This module needs only the standard library.  The keystream is computed in
+blocks of BLOCK_BITS bits held as Python ints, and bits() hands it out as
+bytes of 0 and 1, one per bit.  The file cipher treats a chunk of n symbols
+as one integer with a 16-bit lane per symbol, lane i holding symbol i, so
+that its little-endian bytes are the ciphertext body of u16 point indices.
+encode() and decode_lenient() use integer operators only, so one body serves
+a scalar, a numpy integer array and a chunk of lanes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from collections import deque
+from functools import lru_cache
 
 from .names import MAPPINGS
 
 DEFAULT_DEGREE = 32
 DEFAULT_TAPS = (32, 22, 2, 1)  # maximal-length polynomial x^32+x^22+x^2+x+1
-HISTORY_BITS = 1 << 18  # keystream history kept across bits() calls (at least the degree)
+BLOCK_BITS = 1 << 14  # keystream block size; bits() keeps the last `degree` blocks
+
+_BIT_TABLES = tuple(bytes((v >> i) & 1 for v in range(256)) for i in range(8))
 
 
 def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
 
 
-@dataclass(frozen=True)
+def _unpackbits(data: bytes, msb_first: bool = False) -> bytearray:
+    """One byte of 0 or 1 per bit of data, least (or most) significant bit of each byte first."""
+    out = bytearray(8 * len(data))
+    for i, table in enumerate(_BIT_TABLES):
+        out[7 - i if msb_first else i::8] = data.translate(table)
+    return out
+
+
+def _packbits(bits: bytes) -> bytes:
+    """Inverse of _unpackbits(msb_first=True) for a whole number of bytes."""
+    packed = 0
+    for i in range(8):
+        packed |= int.from_bytes(bits[i::8], "little") << (7 - i)
+    return packed.to_bytes(len(bits) // 8, "little")
+
+
+def _lanes(low: bytes, high: bytes = b"") -> int:
+    """Integer with one 16-bit lane per byte of low: lane i holds low[i] + 256 * high[i]."""
+    buf = bytearray(2 * len(low))
+    buf[0::2] = low
+    if high:
+        buf[1::2] = high
+    return int.from_bytes(buf, "little")
+
+
 class Constellation:
     """2M phases phi_j = pi*j/M with a (bit, basis) <-> point mapping rule.
 
@@ -32,66 +65,57 @@ class Constellation:
     that neighbouring points carry opposite bits.
     """
 
-    m_bases: int
-    mapping: str = "alternating"
+    __slots__ = ("m_bases", "mapping", "basis_bits")
 
-    def __post_init__(self):
-        if not _is_power_of_two(self.m_bases):
-            raise ValueError(f"M must be a power of two, got {self.m_bases}")
-        if self.mapping not in MAPPINGS:
-            raise ValueError(f"unknown mapping {self.mapping!r}")
+    def __init__(self, m_bases: int, mapping: str = "alternating"):
+        if not _is_power_of_two(m_bases):
+            raise ValueError(f"M must be a power of two, got {m_bases}")
+        if mapping not in MAPPINGS:
+            raise ValueError(f"unknown mapping {mapping!r}")
+        self.m_bases = m_bases
+        self.mapping = mapping
+        self.basis_bits = m_bases.bit_length() - 1  # log2(M): keystream bits per basis
 
     @property
     def num_points(self) -> int:
         return 2 * self.m_bases
-
-    @property
-    def point_dtype(self):
-        """uint16 while 2M divides 2^16, so its wrap-around keeps every residue mod 2M."""
-        return np.uint16 if self.num_points <= 1 << 16 else np.int64
 
     def point_phase(self, j: int) -> float:
         if not 0 <= j < self.num_points:
             raise ValueError(f"point index {j} out of range")
         return math.pi * j / self.m_bases
 
-    def polarity(self, basis):
-        """1 where basis m carries its bits on flipped halves (odd m under "alternating")."""
-        return basis & 1 if self.mapping == "alternating" else 0
+    def polarity(self, basis, ones=1):
+        """1 where basis m carries its bits on flipped halves (odd m under "alternating");
+        ones is 1, or one 1 per lane of a chunk."""
+        return basis & ones if self.mapping == "alternating" else 0
 
     def point_bit(self, j):
         """Logical bit carried by point j (basis is implied by j mod M).
 
-        Accepts a scalar or an integer array.
+        Accepts an int, checked against 0..2M-1, or an integer array of points.
         """
-        j = np.asarray(j)
-        if j.size and (j.min() < 0 or j.max() >= self.num_points):
-            raise ValueError(f"point index out of range 0..{self.num_points - 1}")
-        return _scalar_or_array((j // self.m_bases) ^ self.polarity(j % self.m_bases))
+        _check_int(j, self.num_points, f"point index out of range 0..{self.num_points - 1}")
+        return (j >> self.basis_bits) ^ self.polarity(j & (self.m_bases - 1))
 
 
-def _scalar_or_array(x):
-    return int(x) if np.ndim(x) == 0 else x
+def _check_int(x, bound: int, message: str) -> None:
+    """ValueError(message) if x is an int outside 0..bound-1; arrays and lanes pass."""
+    if isinstance(x, int) and not 0 <= x < bound:
+        raise ValueError(message)
 
 
-def _integers(x) -> np.ndarray:
-    """x as an array; raises TypeError unless it holds booleans or integers."""
-    x = np.asarray(x)
-    if not np.can_cast(x.dtype, np.int64):
-        raise TypeError(f"expected integers, got {x.dtype}")
-    return x
+def encode(bit, basis, c: Constellation, ones=1):
+    """Point basis + (bit ^ polarity(basis)) * M.
 
-
-def encode(bit, basis, c: Constellation):
-    """Point basis + (bit ^ polarity(basis)) * M in c.point_dtype; accepts scalars or
-    equal-length arrays."""
-    bit, basis = _integers(bit), _integers(basis)
-    if bit.size and (bit.min() < 0 or bit.max() > 1):
-        raise ValueError("bits must be 0 or 1")
-    if basis.size and (basis.min() < 0 or basis.max() >= c.m_bases):
-        raise ValueError(f"basis out of range for M={c.m_bases}")
-    bit, basis = bit.astype(c.point_dtype, copy=False), basis.astype(c.point_dtype, copy=False)
-    return _scalar_or_array(basis + (bit ^ c.polarity(basis)) * c.m_bases)
+    bit and basis are ints (range-checked), equal-length integer arrays, or
+    chunk lanes with ones one 1 per lane (a bit below 2 and a basis below M
+    in each lane).  A float raises TypeError from the bitwise operators.
+    """
+    if ones == 1:
+        _check_int(bit, 2, "bits must be 0 or 1")
+        _check_int(basis, c.m_bases, f"basis out of range for M={c.m_bases}")
+    return basis | (bit ^ c.polarity(basis, ones)) << c.basis_bits
 
 
 def decode(j: int, basis: int, c: Constellation) -> int:
@@ -103,39 +127,25 @@ def decode(j: int, basis: int, c: Constellation) -> int:
     return decode_lenient(j, basis, c)
 
 
-def decode_lenient(j, basis, c: Constellation):
+def decode_lenient(j, basis, c: Constellation, ones=1):
     """Half-plane decode of any point against the keyed basis axis.
 
     Agrees with decode() on in-pair points; for arbitrary points (e.g. a
-    wrong-key decrypt) it returns the bit of the nearer antipodal point.
-    Accepts scalars or equal-length integer arrays; computes in c.point_dtype.
+    wrong-key decrypt) it returns the bit of the nearer antipodal point:
+    j's half bit j_h = (j >> log2 M) & 1, flipped when j mod M < basis (the
+    point lies past the axis) and by the basis polarity.  Accepts what
+    encode() accepts, with points below 2M in each lane; an int point is
+    read mod 2M.
     """
-    j = _integers(j).astype(c.point_dtype, copy=False)
-    basis = _integers(basis).astype(c.point_dtype, copy=False)
-    half = (j - basis) & (2 * c.m_bases - 1)  # mod 2M = 2^b, which point_dtype keeps
-    half //= c.m_bases
-    half ^= c.polarity(basis)
-    return _scalar_or_array(half)
-
-
-def dsr_offset(rng: np.random.Generator, d: int, j, m_bases: int):
-    """Deliberate state randomization: dither each point j by a uniform offset in [-d, d].
-
-    d must stay below M/2 so the dithered point remains inside the keyed
-    half-plane and Bob's decision is unaffected.  Accepts a scalar or an
-    integer array; d = 0 returns j without drawing.
-    """
-    if not 0 <= d < m_bases / 2:
-        raise ValueError(f"dsr offset d={d} must satisfy 0 <= d < M/2 = {m_bases / 2}")
-    if d == 0:
-        return j
-    dither = rng.integers(-d, d + 1, size=np.shape(j))
-    return _scalar_or_array((j + dither) % (2 * m_bases))
+    k, m = c.basis_bits, c.m_bases
+    # bit k of (j mod M) + M - basis is 1 iff j mod M >= basis; no lane borrows
+    ahead = (j & (m - 1) * ones) + m * ones - basis
+    return ((j >> k) ^ (ahead >> k) ^ ones ^ c.polarity(basis, ones)) & ones
 
 
 def _lfsr_fill_py(state, tap_shifts, top, out):
     """Bit-serial reference: emit the LSB, feed the tap parity back at the top."""
-    for i in range(out.size):
+    for i in range(len(out)):
         out[i] = state & 1
         fb = 0
         for s in tap_shifts:
@@ -146,6 +156,15 @@ def _lfsr_fill_py(state, tap_shifts, top, out):
 
 class KeystreamGen:
     """Fibonacci LFSR producing the running key from the seed key.
+
+    The output o obeys o[i+d] = XOR over taps t of o[i+t-1], with o[0..d-1]
+    the register LSB-first.  Over GF(2) the characteristic polynomial
+    satisfies p(x)^K = p(x^K) for K = 2^k, so the recurrence also holds with
+    every offset scaled by K: block n of K bits, o[nK..nK+K-1] as an int, is
+    the XOR over taps t of block n-(d-t+1).  The constructor doubles K from 1
+    (the register's d bits) up to BLOCK_BITS, reading 2d blocks of K bits as
+    d blocks of 2K; from then on each new block costs one XOR per tap and the
+    history is exactly the last d blocks.
 
     Stateful and single-owner: do not share one generator across threads.
     """
@@ -160,13 +179,20 @@ class KeystreamGen:
         register &= (1 << degree) - 1
         if register == 0:
             raise ValueError("LFSR register must not be all-zero")
-        fill = np.frombuffer(register.to_bytes((degree + 7) // 8, "little"), dtype=np.uint8)
-        # The stream computed so far, ending with the register o[pos..pos+d-1];
-        # bits() keeps d*K bits of it: K the largest power of two with d*K within
-        # both the stream and HISTORY_BITS, or K = 1 when d exceeds HISTORY_BITS.
-        self._tail = np.unpackbits(fill, bitorder="little")[:degree]
         self.taps = taps
         self.degree = degree
+        self._lags = [degree - t + 1 for t in taps]
+        blocks = [(register >> i) & 1 for i in range(degree)]
+        size = 1
+        while size < BLOCK_BITS:
+            for _ in range(degree):
+                blocks.append(self._next_block(blocks))
+            blocks = [lo | hi << size for lo, hi in zip(blocks[0::2], blocks[1::2])]
+            size *= 2
+        self._size = size
+        self._blocks = deque(blocks, maxlen=degree)  # blocks _next-d .. _next-1
+        self._next = degree  # number of the next block to compute
+        self._pos = 0  # index of the next output bit; the register is o[pos..pos+d-1]
 
     @classmethod
     def from_hex(cls, seed_key: str, taps: tuple[int, ...] = DEFAULT_TAPS,
@@ -178,74 +204,87 @@ class KeystreamGen:
             raise ValueError(f"seed key {seed_key!r} is not valid hexadecimal") from None
         return cls(value, taps, degree)
 
+    def _next_block(self, blocks) -> int:
+        new = 0
+        for lag in self._lags:
+            new ^= blocks[-lag]
+        return new
+
+    def _held(self, first: int, stop: int) -> list[int]:
+        """Blocks first..stop-1, all within the history."""
+        base = self._next - self.degree
+        return [self._blocks[b - base] for b in range(first, stop)]
+
     @property
     def register(self) -> int:
-        return int.from_bytes(np.packbits(self._tail[-self.degree:], bitorder="little").tobytes(),
-                              "little")
+        size, pos = self._size, self._pos
+        first = pos // size
+        word = 0
+        for i, block in enumerate(self._held(first, (pos + self.degree - 1) // size + 1)):
+            word |= block << (i * size)
+        return (word >> (pos - first * size)) & ((1 << self.degree) - 1)
 
-    def bits(self, n: int) -> np.ndarray:
-        """Next n keystream bits as a uint8 array; advances the state.
+    def _take(self, n: int) -> tuple[bytes, int]:
+        """Advance by n bits: the little-endian bytes of the blocks that hold them, and
+        the offset of the first one.
 
-        The output o obeys o[i+d] = XOR over taps t of o[i+t-1], with
-        o[0..d-1] the register LSB-first.  Over GF(2) the characteristic
-        polynomial satisfies p(x)^K = p(x^K) for K = 2^k, so the recurrence
-        also holds with every offset scaled by K: once d*K bits are known,
-        one XOR per tap emits the next K bits.  The register afterwards is
-        o[n..n+d-1].  The last d*K bits computed, K as large as fits in
-        HISTORY_BITS, are kept for the next call, so a run of calls doubles
-        up from d bits only once.
+        Blocks are computed through the one holding the register after the
+        call, o[pos+n+d-1], so the register can always be read from the history.
         """
         if n < 0:
             raise ValueError("bit count must be >= 0")
-        if n == 0:
-            return np.empty(0, dtype=np.uint8)
-        d, tail = self.degree, self._tail
-        step = 1
-        while step < n and d * step * 2 <= tail.size:  # no more history than n needs
-            step *= 2
-        head = d * step
-        total = head + n
-        buf = np.empty(total, dtype=np.uint8)
-        buf[:head] = tail[tail.size - head:]
-        first, *rest = [t - 1 for t in self.taps]
-        filled = head
-        while filled < total:
-            while d * step * 2 <= filled:
-                step *= 2
-            k = min(step, total - filled)
-            base = filled - d * step
-            dst = buf[filled:filled + k]
-            np.copyto(dst, buf[base + first * step:base + first * step + k])
-            for off in rest:
-                dst ^= buf[base + off * step:base + off * step + k]
-            filled += k
-        step = 1
-        while d * step * 2 <= min(total, HISTORY_BITS):
-            step *= 2
-        self._tail = buf[total - d * step:].copy()  # the caller may write to its bits
-        return buf[head - d:head - d + n]
+        size, pos = self._size, self._pos
+        end = pos + n
+        first, stop = pos // size, (end - 1) // size + 1 if n else pos // size
+        out = self._held(first, min(stop, self._next))
+        while self._next <= (end + self.degree - 1) // size:
+            block = self._next_block(self._blocks)
+            self._blocks.append(block)
+            if self._next < stop:
+                out.append(block)
+            self._next += 1
+        self._pos = end
+        return b"".join(b.to_bytes(size // 8, "little") for b in out), pos - first * size
 
-    def bases(self, m_bases: int, count: int) -> np.ndarray:
-        """Next count basis indices, each log2(M) keystream bits read big-endian; as
-        uint16 up to M = 2^16 (faster than int64), so callers promote before arithmetic."""
-        if not _is_power_of_two(m_bases):
-            raise ValueError(f"M must be a power of two, got {m_bases}")
-        k = m_bases.bit_length() - 1
-        if k == 0:
-            return np.zeros(count, dtype=np.uint16)
-        bits = self.bits(count * k).reshape(count, k)
-        out = np.zeros(count, dtype=np.uint16 if k <= 16 else np.int64)
-        for col in range(k):  # column by column: no count*k int64 copy
-            out <<= 1
-            out |= bits[:, col]
-        return out
+    def stream(self, n: int) -> int:
+        """Next n keystream bits as an int, the first in bit 0; advances the state."""
+        packed, head = self._take(n)
+        return (int.from_bytes(packed, "little") >> head) & ((1 << n) - 1)
+
+    def bits(self, n: int) -> bytes:
+        """Next n keystream bits, one byte of 0 or 1 each; advances the state."""
+        packed, head = self._take(n)
+        skip = head & 7
+        return bytes(_unpackbits(packed[head >> 3:(head + n + 7) >> 3])[skip:skip + n])
+
+
+def _basis_lanes(gen: KeystreamGen, c: Constellation, n: int) -> int:
+    """The next n bases as 16-bit lanes, each log2(M) keystream bits read big-endian.
+
+    Keystream bit r of each basis is the plane stream[r::k]; planes are OR-ed
+    into the low or high byte of the lanes as 8-bit lanes, which cannot carry.
+    """
+    k = c.basis_bits
+    stream = gen.bits(n * k)
+    halves = [0, 0]
+    for r in range(k):
+        shift = k - 1 - r
+        halves[shift >> 3] |= int.from_bytes(stream[r::k], "little") << (shift & 7)
+    low, high = halves
+    return _lanes(low.to_bytes(n, "little"), high.to_bytes(n, "little") if high else b"")
+
+
+@lru_cache(maxsize=1)
+def _lane_ones(n: int) -> int:
+    return int.from_bytes(b"\x01\x00" * n, "little")
 
 
 def encrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:
     """Ciphertext body of a plaintext chunk: one little-endian u16 point per bit, MSB first."""
-    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8))
-    points = encode(bits, gen.bases(const.m_bases, bits.size), const)
-    return points.astype("<u2", copy=False).tobytes()
+    n = 8 * len(chunk)
+    bits = _lanes(_unpackbits(chunk, msb_first=True))
+    points = encode(bits, _basis_lanes(gen, const, n), const, _lane_ones(n))
+    return points.to_bytes(2 * n, "little")
 
 
 def decrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:
@@ -253,10 +292,11 @@ def decrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> byte
     if len(chunk) % 2:
         raise ValueError("ciphertext body has an odd number of bytes; "
                          "each point index takes two")
-    points = np.frombuffer(chunk, dtype="<u2")
-    if points.max() >= const.num_points:
+    n = len(chunk) // 2
+    points, ones = int.from_bytes(chunk, "little"), _lane_ones(n)
+    if points & (0xFFFF ^ (const.num_points - 1)) * ones:
         raise ValueError("ciphertext contains out-of-range point indices")
-    if points.size % 8 != 0:
+    if n % 8 != 0:
         raise ValueError("ciphertext bit count is not a whole number of bytes")
-    bits = decode_lenient(points, gen.bases(const.m_bases, points.size), const)
-    return np.packbits(bits.astype(np.uint8)).tobytes()
+    bits = decode_lenient(points, _basis_lanes(gen, const, n), const, ones)
+    return _packbits(bits.to_bytes(2 * n, "little")[0::2])

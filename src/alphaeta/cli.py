@@ -13,8 +13,8 @@ own, then imports its engine:
     eve-nokey   receivers (with cipher and fock)
     simulate    montecarlo (with receivers, cipher and fock)
     keyrate     keyrate (with receivers, cipher and fock)
-    encrypt     cipher
-    decrypt     cipher
+    encrypt     cipher (standard library only: no numpy)
+    decrypt     cipher (standard library only: no numpy)
 
 Ciphertext format: 16-byte header (magic "Y00STRM1", u16 version, u16 M,
 u8 mapping code, 3 reserved bytes) followed by one little-endian u16

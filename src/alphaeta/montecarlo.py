@@ -15,22 +15,22 @@ and echoed in the report.
 Trials run in fixed batches of 65536; batch i draws from an RNG stream
 keyed by (master_seed, i) and, with a nearest-point Eve, takes the
 keystream's i-th slice of bases, so results are bit-identical regardless of
-how many workers execute the batches.  The keystream is drawn batch by batch
-as the pool consumes it, so memory is bounded by the batch size, not the
-trial count.
+how many workers execute the batches.  Only a nearest-point Eve's batches go
+to a thread pool; a keyed-only batch is a few draws and runs inline.  The
+keystream is drawn batch by batch as the pool consumes it, so memory is
+bounded by the batch size, not the trial count.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .cipher import Constellation, KeystreamGen, dsr_offset, encode
+from .cipher import Constellation, KeystreamGen, encode
 from .fock import phase_distribution, wrap_angle
 from .receivers import BER_LAWS, EVE_STRATEGIES, ReceiverModel
 
@@ -187,6 +187,61 @@ def offset_histogram(rng: np.random.Generator, n: int, m_count: int, d: int) -> 
     return hist
 
 
+def point_dtype(const: Constellation):
+    """uint16 while 2M divides 2^16, so its wrap-around keeps every residue mod 2M."""
+    return np.uint16 if const.num_points <= 1 << 16 else np.int64
+
+
+def _in_range(x: np.ndarray, bound: int, message: str) -> np.ndarray:
+    """x, or ValueError(message) unless every value lies in 0..bound-1."""
+    if x.size and (x.min() < 0 or x.max() >= bound):
+        raise ValueError(message)
+    return x
+
+
+def encode_points(bits: np.ndarray, bases: np.ndarray, const: Constellation) -> np.ndarray:
+    """cipher.encode of equal-length integer arrays, in point_dtype(const).
+
+    The ranges are checked first, since the narrowing cast would wrap them silently.
+    """
+    dtype = point_dtype(const)
+    bits = _in_range(bits, 2, "bits must be 0 or 1").astype(dtype, copy=False)
+    bases = _in_range(bases, const.m_bases, f"basis out of range for M={const.m_bases}")
+    return encode(bits, bases.astype(dtype, copy=False), const)
+
+
+def dsr_offset(rng: np.random.Generator, d: int, j, m_bases: int):
+    """Deliberate state randomization: dither each point j by a uniform offset in [-d, d].
+
+    d must stay below M/2 so the dithered point remains inside the keyed
+    half-plane and Bob's decision is unaffected.  Accepts a scalar or an
+    integer array; d = 0 returns j without drawing.
+    """
+    if not 0 <= d < m_bases / 2:
+        raise ValueError(f"dsr offset d={d} must satisfy 0 <= d < M/2 = {m_bases / 2}")
+    if d == 0:
+        return j
+    dither = rng.integers(-d, d + 1, size=np.shape(j))
+    out = (j + dither) % (2 * m_bases)
+    return int(out) if np.ndim(out) == 0 else out
+
+
+def keyed_bases(gen: KeystreamGen, m_bases: int, count: int) -> np.ndarray:
+    """Next count basis indices, each log2(M) keystream bits read big-endian; as
+    uint16 up to M = 2^16 (faster than int64), so callers promote before arithmetic."""
+    k = Constellation(m_bases).basis_bits  # raises unless M is a power of two
+    if k == 0:
+        return np.zeros(count, dtype=np.uint16)
+    packed = gen.stream(count * k).to_bytes((count * k + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=count * k,
+                         bitorder="little").reshape(count, k)
+    out = np.zeros(count, dtype=np.uint16 if k <= 16 else np.int64)
+    for col in range(k):  # column by column: no count*k int64 copy
+        out <<= 1
+        out |= bits[:, col]
+    return out
+
+
 def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | None,
                tables: dict[str, np.ndarray], batch: int, n: int,
                m: np.ndarray | None) -> tuple[int, int]:
@@ -209,10 +264,10 @@ def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | Non
         bits = np.empty(n, dtype=np.uint8)
         for c in chunks:
             bits[c] = rng.integers(0, 2, size=c.stop - c.start, dtype=np.int64)
-        j = np.empty(n, dtype=const.point_dtype)
+        j = np.empty(n, dtype=point_dtype(const))
         hist = np.zeros(2 * m_count, dtype=np.int64)
         for c in chunks:
-            j[c] = dsr_offset(rng, cfg.dsr_d, encode(bits[c], m[c], const), m_count)
+            j[c] = dsr_offset(rng, cfg.dsr_d, encode_points(bits[c], m[c], const), m_count)
             # offset from the axis, mod 2M = 2^b
             hist += np.bincount((j[c] - m[c]) & (2 * m_count - 1), minlength=2 * m_count)
     occupied = np.flatnonzero(hist)
@@ -244,9 +299,9 @@ def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | Non
 def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
     """Simulate cfg.trials symbols; deterministic for a fixed master_seed.
 
-    With a nearest-point Eve the calling thread draws each batch's bases, in
-    batch order, while the pool works on earlier batches; at most 2 * workers
-    batches are in flight.
+    A nearest-point Eve's batches run on `workers` threads while the calling
+    thread draws each batch's bases, in batch order; at most 2 * workers batches
+    are in flight.  Keyed-only batches run inline, in batch order.
     """
     cfg.validate()
     if workers < 1:
@@ -263,16 +318,20 @@ def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
         sampler = None  # only the nearest-point Eve samples; free its CDF before the pool
 
     task = partial(_run_batch, cfg, const, sampler, tables)
-    counts = []
-    in_flight = deque()
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for batch, lo in enumerate(range(0, cfg.trials, BATCH_SIZE)):
-            n = min(BATCH_SIZE, cfg.trials - lo)
-            m = gen.bases(cfg.m_bases, n) if nearest else None
-            in_flight.append(pool.submit(task, batch, n, m))
-            if len(in_flight) >= 2 * workers:
-                counts.append(in_flight.popleft().result())
-        counts += [f.result() for f in in_flight]
+    sizes = [min(BATCH_SIZE, cfg.trials - lo) for lo in range(0, cfg.trials, BATCH_SIZE)]
+    if nearest:
+        from concurrent.futures import ThreadPoolExecutor  # only her batches need a pool
+
+        counts = []
+        in_flight = deque()
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for batch, n in enumerate(sizes):
+                in_flight.append(pool.submit(task, batch, n, keyed_bases(gen, cfg.m_bases, n)))
+                if len(in_flight) >= 2 * workers:
+                    counts.append(in_flight.popleft().result())
+            counts += [f.result() for f in in_flight]
+    else:  # a keyed-only batch is a few draws: a pool would only add overhead
+        counts = [task(batch, n, None) for batch, n in enumerate(sizes)]
     bob_err = sum(c[0] for c in counts)
     eve_err = sum(c[1] for c in counts)
 

@@ -17,7 +17,8 @@ import math
 
 import numpy as np
 
-from alphaeta.cipher import Constellation, dsr_offset, encode
+from alphaeta.cipher import Constellation, encode
+from alphaeta.montecarlo import dsr_offset
 from alphaeta.receivers import EVE_STRATEGIES
 
 

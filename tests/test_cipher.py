@@ -6,13 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from alphaeta.cipher import (
+    MAPPINGS,
     Constellation,
     KeystreamGen,
     decode,
     decode_lenient,
-    dsr_offset,
+    decrypt_chunk,
     encode,
+    encrypt_chunk,
 )
+from alphaeta.montecarlo import dsr_offset, encode_points, keyed_bases, point_dtype
 
 POWERS_OF_TWO = [1, 2, 4, 8, 16, 32, 64]
 LFSR_POLYNOMIALS = [  # (taps, degree) of maximal-length LFSRs
@@ -112,11 +115,11 @@ class TestEncodeDecode:
         assert c.point_bit(j).tolist() == bits.tolist()
         assert c.point_bit(np.arange(32)).tolist() == [c.point_bit(k) for k in range(32)]
         with pytest.raises(ValueError):
-            encode(bits, basis + 1, c)
+            encode_points(bits, basis + 1, c)
         with pytest.raises(ValueError):
-            encode(bits * 2, basis, c)
+            encode_points(bits * 2, basis, c)
         with pytest.raises(ValueError):
-            c.point_bit(np.array([0, 32]))
+            c.point_bit(32)
 
     def test_decode_lenient_vectorized(self):
         c = Constellation(8)
@@ -131,20 +134,22 @@ class TestEncodeDecode:
         """uint16 up to M = 2^15, int64 from M = 2^16: both equal the int64 formula
         on every (bit, basis) and on every point against every basis in a sample."""
         c = Constellation(m, mapping)
-        assert c.point_dtype == (np.uint16 if m <= 1 << 15 else np.int64)
+        dtype = point_dtype(c)
+        assert dtype == (np.uint16 if m <= 1 << 15 else np.int64)
         polarity = (lambda b: b & 1) if mapping == "alternating" else (lambda b: 0)
         basis = np.repeat(np.arange(m, dtype=np.int64), 2)
         bits = np.tile(np.array([0, 1], dtype=np.int64), m)
-        j = encode(bits, basis, c)
-        assert j.dtype == c.point_dtype
+        j = encode_points(bits, basis, c)
+        assert j.dtype == dtype
         assert np.array_equal(j, basis + (bits ^ polarity(basis)) * m)
 
         points = np.arange(2 * m, dtype=np.int64)  # in and out of the keyed pair
         for b in sorted({0, 1, m // 2, m - 1}):
             keyed = np.full(points.size, b, dtype=np.int64)
             want = (points - keyed) % (2 * m) // m ^ polarity(keyed)
-            got = decode_lenient(points, keyed.astype(np.uint16), c)  # as bases() gives them
-            assert got.dtype == c.point_dtype
+            # points in point_dtype, bases as keyed_bases() gives them
+            got = decode_lenient(points.astype(dtype), keyed.astype(np.uint16), c)
+            assert got.dtype == dtype
             assert np.array_equal(got, want)
             assert decode_lenient(int(points[-1]), b, c) == int(want[-1])
 
@@ -160,6 +165,78 @@ class TestEncodeDecode:
             encode(np.array([0.0, 1.0]), np.array([0, 1]), c)
         with pytest.raises(TypeError):
             decode_lenient(np.array([0.0]), np.array([0]), c)
+
+
+def lanes(values) -> int:
+    """A chunk's lane integer: one 16-bit lane per value, lane i holding values[i]."""
+    return int.from_bytes(np.asarray(values, dtype="<u2").tobytes(), "little")
+
+
+def unlanes(word: int, n: int) -> list[int]:
+    return np.frombuffer(word.to_bytes(2 * n, "little"), dtype="<u2").tolist()
+
+
+class TestChunkCodec:
+    """The lane form of encode/decode_lenient, and encrypt_chunk/decrypt_chunk built on
+    it, against the scalar definitions."""
+
+    @pytest.mark.parametrize("m", [1, 2, 32, 1 << 15])
+    @pytest.mark.parametrize("mapping", MAPPINGS)
+    def test_lane_encode_matches_scalar_on_every_pair(self, m, mapping):
+        c = Constellation(m, mapping)
+        basis = np.repeat(np.arange(m), 2)
+        bits = np.tile([0, 1], m)
+        got = encode(lanes(bits), lanes(basis), c, lanes(np.ones(2 * m)))
+        assert unlanes(got, 2 * m) == [encode(int(b), int(a), c) for b, a in zip(bits, basis)]
+
+    @pytest.mark.parametrize("m", [1, 2, 32, 1 << 15])
+    @pytest.mark.parametrize("mapping", MAPPINGS)
+    def test_lane_decode_matches_scalar(self, m, mapping):
+        """Every point against every basis (M <= 32) or 64 bases spread over 0..M-1,
+        the first and last included (M = 2^15)."""
+        c = Constellation(m, mapping)
+        keyed = range(m) if m <= 32 else sorted({0, m - 1, *range(0, m, m // 62)})
+        points = np.tile(np.arange(2 * m), len(keyed))
+        basis = np.repeat(np.asarray(keyed), 2 * m)
+        got = decode_lenient(lanes(points), lanes(basis), c, lanes(np.ones(points.size)))
+        want = [decode_lenient(int(j), int(a), c) for j, a in zip(points, basis)]
+        assert unlanes(got, points.size) == want
+
+    @pytest.mark.parametrize("m", [1, 2, 32, 1 << 15])
+    @pytest.mark.parametrize("mapping", MAPPINGS)
+    def test_chunks_match_scalar_codec(self, m, mapping):
+        """encrypt_chunk is scalar encode of each plaintext bit (MSB first) under the bases
+        of a twin generator's bits, and decrypt_chunk is scalar decode_lenient of
+        each u16 point, for in-pair and arbitrary points."""
+        c = Constellation(m, mapping)
+        k = c.basis_bits
+        rng = np.random.default_rng(m)
+        plain = rng.integers(0, 256, size=300, dtype=np.uint8).tobytes()
+        twin = KeystreamGen.from_hex("c0ffee")
+        bits = np.unpackbits(np.frombuffer(plain, np.uint8)).tolist()
+        stream = np.frombuffer(twin.bits(len(bits) * k), np.uint8).reshape(len(bits), k)
+        bases = [int("".join(map(str, row)) or "0", 2) for row in stream.tolist()]
+        body = encrypt_chunk(KeystreamGen.from_hex("c0ffee"), c, plain)
+        assert np.frombuffer(body, "<u2").tolist() == [
+            encode(b, a, c) for b, a in zip(bits, bases)]
+        assert decrypt_chunk(KeystreamGen.from_hex("c0ffee"), c, body) == plain
+
+        points = rng.integers(0, 2 * m, size=len(bits))
+        got = decrypt_chunk(KeystreamGen.from_hex("c0ffee"), c,
+                            points.astype("<u2").tobytes())
+        want = [decode_lenient(int(j), a, c) for j, a in zip(points, bases)]
+        assert np.unpackbits(np.frombuffer(got, np.uint8)).tolist() == want
+
+    @pytest.mark.parametrize("m", [1, 32, 1 << 14])
+    @pytest.mark.parametrize("lane", [0, 11, 23])
+    def test_out_of_range_point_in_any_lane(self, m, lane):
+        c = Constellation(m)
+        points = np.full(24, 2 * m - 1)
+        decrypt_chunk(KeystreamGen.from_hex("77"), c, points.astype("<u2").tobytes())
+        for bad in (2 * m, 0xFFFF):
+            points[lane] = bad
+            with pytest.raises(ValueError, match="out-of-range"):
+                decrypt_chunk(KeystreamGen.from_hex("77"), c, points.astype("<u2").tobytes())
 
 
 class TestDsrOffset:
@@ -206,19 +283,19 @@ class TestKeystreamGen:
         assert len(states) == 15
         fresh = KeystreamGen(0b0001, taps=(4, 1), degree=4)
         seq = fresh.bits(45)
-        assert np.array_equal(seq[:15], seq[15:30])
-        assert np.array_equal(seq[15:30], seq[30:45])
+        assert seq[:15] == seq[15:30]
+        assert seq[15:30] == seq[30:45]
 
     def test_zero_bits_leaves_state(self):
         gen = KeystreamGen.from_hex("abc123")
         before = gen.register
-        assert gen.bits(0).size == 0
+        assert len(gen.bits(0)) == 0
         assert gen.register == before
 
     def test_determinism(self):
         a = KeystreamGen.from_hex("deadbeef").bits(1000)
         b = KeystreamGen.from_hex("deadbeef").bits(1000)
-        assert np.array_equal(a, b)
+        assert a == b
 
     def test_rejects_all_zero_seed(self):
         with pytest.raises(ValueError):
@@ -236,45 +313,46 @@ class TestKeystreamGen:
         gen = KeystreamGen.from_hex("deadbeef")
         bits = KeystreamGen.from_hex("deadbeef").bits(2)
         expected = (int(bits[0]) << 1) | int(bits[1])
-        assert gen.bases(4, 1).tolist() == [expected]
+        assert keyed_bases(gen, 4, 1).tolist() == [expected]
 
     def test_m1_consumes_nothing(self):
         gen = KeystreamGen.from_hex("1")
         before = gen.register
-        assert gen.bases(1, 5).tolist() == [0] * 5
+        assert keyed_bases(gen, 1, 5).tolist() == [0] * 5
         assert gen.register == before
 
     def test_rejects_non_power_of_two_m(self):
         with pytest.raises(ValueError):
-            KeystreamGen.from_hex("1").bases(6, 1)
+            keyed_bases(KeystreamGen.from_hex("1"), 6, 1)
 
     def test_bases_matches_sequential_next_basis(self):
-        bulk = KeystreamGen.from_hex("c0ffee").bases(16, 200)
+        bulk = keyed_bases(KeystreamGen.from_hex("c0ffee"), 16, 200)
         gen = KeystreamGen.from_hex("c0ffee")
-        seq = [int(gen.bases(16, 1)[0]) for _ in range(200)]
+        seq = [int(keyed_bases(gen, 16, 1)[0]) for _ in range(200)]
         assert bulk.tolist() == seq
         # bit-serial reference: each basis is 4 keystream bits read big-endian
-        bits = KeystreamGen.from_hex("c0ffee").bits(800).reshape(200, 4)
+        bits = np.frombuffer(KeystreamGen.from_hex("c0ffee").bits(800), np.uint8).reshape(200, 4)
         assert bulk.tolist() == [int("".join(map(str, row)), 2) for row in bits]
 
     @pytest.mark.parametrize("m_exp", [1, 8, 9, 15, 16, 17, 20])
     def test_bases_are_big_endian_bits_at_every_width(self, m_exp):
         # across the uint16 -> int64 switch at M = 2^16 the values must not change
-        bulk = KeystreamGen.from_hex("c0ffee").bases(1 << m_exp, 300)
-        bits = KeystreamGen.from_hex("c0ffee").bits(300 * m_exp).reshape(300, m_exp)
+        bulk = keyed_bases(KeystreamGen.from_hex("c0ffee"), 1 << m_exp, 300)
+        bits = np.frombuffer(KeystreamGen.from_hex("c0ffee").bits(300 * m_exp),
+                             np.uint8).reshape(300, m_exp)
         assert bulk.tolist() == [int("".join(map(str, row)), 2) for row in bits.tolist()]
 
     def test_interleaved_calls_deterministic(self):
         g1 = KeystreamGen.from_hex("77")
         g2 = KeystreamGen.from_hex("77")
-        out1 = [int(g1.bases(m, 1)[0]) for m in (2, 8, 4, 64, 2, 16)]
-        out2 = [int(g2.bases(m, 1)[0]) for m in (2, 8, 4, 64, 2, 16)]
+        out1 = [int(keyed_bases(g1, m, 1)[0]) for m in (2, 8, 4, 64, 2, 16)]
+        out2 = [int(keyed_bases(g2, m, 1)[0]) for m in (2, 8, 4, 64, 2, 16)]
         assert out1 == out2
 
     def test_basis_uniformity_chi_square(self):
         # maximal-length degree-32 stream: M=64 frequencies within 5 sigma
         draws = 60_000
-        counts = np.bincount(KeystreamGen.from_hex("deadbeef").bases(64, draws),
+        counts = np.bincount(keyed_bases(KeystreamGen.from_hex("deadbeef"), 64, draws),
                              minlength=64)
         p = 1 / 64
         sigma = math.sqrt(draws * p * (1 - p))
@@ -286,7 +364,7 @@ class TestKeystreamGen:
         fast = gen.bits(500)
         slow = np.empty(500, dtype=np.uint8)
         _lfsr_fill_py(int("deadbeef", 16), [t - 1 for t in gen.taps], gen.degree - 1, slow)
-        assert np.array_equal(fast, slow)
+        assert fast == slow.tobytes()
 
     @pytest.mark.parametrize("taps, degree", LFSR_POLYNOMIALS)
     def test_vectorised_bits_match_bit_serial_reference(self, taps, degree):
@@ -298,15 +376,15 @@ class TestKeystreamGen:
             ref = np.empty(n + degree - 1, dtype=np.uint8)
             mid_state = _lfsr_fill_py(gen.register, shifts, degree - 1, ref[:n])
             end_state = _lfsr_fill_py(mid_state, shifts, degree - 1, ref[n:])
-            assert np.array_equal(gen.bits(n), ref[:n])
+            assert gen.bits(n) == ref[:n].tobytes()
             assert gen.register == mid_state
-            assert gen.bits(0).size == 0
+            assert len(gen.bits(0)) == 0
             assert gen.register == mid_state
-            assert np.array_equal(gen.bits(degree - 1), ref[n:])  # n < degree
+            assert gen.bits(degree - 1) == ref[n:].tobytes()  # n < degree
             assert gen.register == end_state
             split = KeystreamGen(seed, taps, degree)
-            joined = np.concatenate([split.bits(12_345), split.bits(n - 12_345)])
-            assert np.array_equal(joined, ref[:n])
+            joined = split.bits(12_345) + split.bits(n - 12_345)
+            assert joined == ref[:n].tobytes()
             assert split.register == mid_state
 
 
@@ -326,10 +404,10 @@ def test_bits_split_into_calls_matches_one_call(poly, seed, calls):
     gen = KeystreamGen(seed, taps, degree)
     pos = 0
     for n in calls:
-        assert np.array_equal(gen.bits(n), ref[pos:pos + n])
+        assert gen.bits(n) == ref[pos:pos + n].tobytes()
         pos += n
         assert gen.register == sum(int(b) << i for i, b in enumerate(ref[pos:pos + degree]))
-    assert np.array_equal(KeystreamGen(seed, taps, degree).bits(total), ref[:total])
+    assert KeystreamGen(seed, taps, degree).bits(total) == ref[:total].tobytes()
 
 
 @pytest.mark.parametrize("taps, degree, calls", [
@@ -337,31 +415,33 @@ def test_bits_split_into_calls_matches_one_call(poly, seed, calls):
     ((127, 126, 124, 120), 127, [700_000, 1000]),
 ])
 def test_bits_history_is_capped(taps, degree, calls):
-    """Calls long enough to reach HISTORY_BITS keep at most that much history and
-    still continue the bit-serial reference, register included."""
-    from alphaeta.cipher import HISTORY_BITS, _lfsr_fill_py
+    """Calls much longer than the history keep exactly `degree` blocks of BLOCK_BITS
+    bits and still continue the bit-serial reference, register included."""
+    from alphaeta.cipher import BLOCK_BITS, _lfsr_fill_py
     seed = 0x9E3779B97F4A7C15F39CC0605CEDC835 % ((1 << degree) - 1) + 1
     ref = np.empty(sum(calls) + degree, dtype=np.uint8)
     _lfsr_fill_py(seed, [t - 1 for t in taps], degree - 1, ref)
     gen = KeystreamGen(seed, taps, degree)
     pos = 0
     for n in calls:
-        assert np.array_equal(gen.bits(n), ref[pos:pos + n])
+        assert gen.bits(n) == ref[pos:pos + n].tobytes()
         pos += n
         assert gen.register == sum(int(b) << i for i, b in enumerate(ref[pos:pos + degree]))
-        assert degree <= gen._tail.size <= max(degree, HISTORY_BITS)
+        assert len(gen._blocks) == degree
+        assert max(b.bit_length() for b in gen._blocks) <= BLOCK_BITS
 
 
 def test_bits_keeps_the_register_when_the_cap_is_below_the_degree(monkeypatch):
     from alphaeta import cipher
-    monkeypatch.setattr(cipher, "HISTORY_BITS", 16)
+    monkeypatch.setattr(cipher, "BLOCK_BITS", 16)
     taps, degree = (89, 51), 89
     ref = np.empty(3000 + degree, dtype=np.uint8)
     cipher._lfsr_fill_py(12345, [t - 1 for t in taps], degree - 1, ref)
     gen = KeystreamGen(12345, taps, degree)
-    assert np.array_equal(gen.bits(1000), ref[:1000])
-    assert gen._tail.size == degree
-    assert np.array_equal(gen.bits(2000), ref[1000:3000])
+    assert gen.bits(1000) == ref[:1000].tobytes()
+    assert len(gen._blocks) == degree
+    assert gen.register == sum(int(b) << i for i, b in enumerate(ref[1000:1000 + degree]))
+    assert gen.bits(2000) == ref[1000:3000].tobytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -548,6 +548,7 @@ class TestImports:
                                            *key)
             assert code == 0
             assert loaded & self.ENGINES == {"alphaeta.cipher"}
+            assert "numpy" not in loaded
         assert (tmp_path / "rt.bin").read_bytes() == pt.read_bytes()
 
     def test_eve_nokey_loads_no_keyrate_or_monte_carlo(self):

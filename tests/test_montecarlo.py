@@ -15,6 +15,7 @@ from alphaeta.montecarlo import (
     PhaseSampler,
     SimConfig,
     _run_batch,
+    keyed_bases,
     offset_error_table,
     offset_histogram,
     run_simulation,
@@ -259,7 +260,7 @@ class TestCountLevelDecisions:
         for seed in range(self.SEEDS):
             run = replace(cfg, master_seed=seed)
             count_level.append(_run_batch(run, const, None, tables, 0, self.N, None))
-            bob, eve, k = per_trial_keyed_errors(run, tables, 0, gen.bases(cfg.m_bases, self.N))
+            bob, eve, k = per_trial_keyed_errors(run, tables, 0, keyed_bases(gen, cfg.m_bases, self.N))
             per_trial.append((bob, eve))
             hist += offset_histogram(np.random.default_rng(seed), self.N, cfg.m_bases, d)
             ref_hist += np.bincount(k, minlength=2 * cfg.m_bases)
