@@ -5,12 +5,15 @@ Each transmitted symbol consumes log2(M) keystream bits to pick a basis;
 the data bit then selects one of the two antipodal points of that basis.
 
 This module needs only the standard library.  The keystream is computed in
-blocks of BLOCK_BITS bits held as Python ints, and bits() hands it out as
-bytes of 0 and 1, one per bit.  The file cipher treats a chunk of n symbols
-as one integer with a 16-bit lane per symbol, lane i holding symbol i, so
-that its little-endian bytes are the ciphertext body of u16 point indices.
-encode() and decode_lenient() use integer operators only, so one body serves
-a scalar, a numpy integer array and a chunk of lanes.
+blocks of BLOCK_BITS bits held as Python ints, and bits() hands it out
+packed, 8 bits per byte.  The file cipher splits a chunk into 8 planes,
+plane f holding the symbols of bit f (MSB first) of every plaintext byte,
+and holds a plane as one integer with a lane per symbol: 8 bits wide while
+the 2M points fit in a byte, 16 bits above that.  The bases of a plane are
+gathered from the packed keystream with strided byte slices, and its points
+are written into the u16 body with strided byte slices.  encode() and
+decode_lenient() use integer operators only, so one body serves a scalar,
+a numpy integer array and a plane of lanes.
 """
 
 from __future__ import annotations
@@ -26,35 +29,11 @@ DEFAULT_TAPS = (32, 22, 2, 1)  # maximal-length polynomial x^32+x^22+x^2+x+1
 BLOCK_BITS = 1 << 14  # keystream block size; bits() keeps the last `degree` blocks
 
 _BIT_TABLES = tuple(bytes((v >> i) & 1 for v in range(256)) for i in range(8))
+_REVERSED = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
 
 
 def _is_power_of_two(m: int) -> bool:
     return m >= 1 and (m & (m - 1)) == 0
-
-
-def _unpackbits(data: bytes, msb_first: bool = False) -> bytearray:
-    """One byte of 0 or 1 per bit of data, least (or most) significant bit of each byte first."""
-    out = bytearray(8 * len(data))
-    for i, table in enumerate(_BIT_TABLES):
-        out[7 - i if msb_first else i::8] = data.translate(table)
-    return out
-
-
-def _packbits(bits: bytes) -> bytes:
-    """Inverse of _unpackbits(msb_first=True) for a whole number of bytes."""
-    packed = 0
-    for i in range(8):
-        packed |= int.from_bytes(bits[i::8], "little") << (7 - i)
-    return packed.to_bytes(len(bits) // 8, "little")
-
-
-def _lanes(low: bytes, high: bytes = b"") -> int:
-    """Integer with one 16-bit lane per byte of low: lane i holds low[i] + 256 * high[i]."""
-    buf = bytearray(2 * len(low))
-    buf[0::2] = low
-    if high:
-        buf[1::2] = high
-    return int.from_bytes(buf, "little")
 
 
 class Constellation:
@@ -93,28 +72,34 @@ class Constellation:
     def point_bit(self, j):
         """Logical bit carried by point j (basis is implied by j mod M).
 
-        Accepts an int, checked against 0..2M-1, or an integer array of points.
+        Accepts an int or an integer array, checked against 0..2M-1.
         """
-        _check_int(j, self.num_points, f"point index out of range 0..{self.num_points - 1}")
+        check_range(j, self.num_points, f"point index out of range 0..{self.num_points - 1}")
         return (j >> self.basis_bits) ^ self.polarity(j & (self.m_bases - 1))
 
 
-def _check_int(x, bound: int, message: str) -> None:
-    """ValueError(message) if x is an int outside 0..bound-1; arrays and lanes pass."""
-    if isinstance(x, int) and not 0 <= x < bound:
+def check_range(x, bound: int, message: str) -> None:
+    """ValueError(message) unless x, an int or an integer array, lies in 0..bound-1.
+
+    Other types pass, to raise TypeError from the caller's bitwise operators.
+    """
+    if isinstance(x, int):
+        if not 0 <= x < bound:
+            raise ValueError(message)
+    elif getattr(x, "size", 0) and (x.min() < 0 or x.max() >= bound):
         raise ValueError(message)
 
 
 def encode(bit, basis, c: Constellation, ones=1):
     """Point basis + (bit ^ polarity(basis)) * M.
 
-    bit and basis are ints (range-checked), equal-length integer arrays, or
-    chunk lanes with ones one 1 per lane (a bit below 2 and a basis below M
-    in each lane).  A float raises TypeError from the bitwise operators.
+    bit and basis are ints or equal-length integer arrays, both range-checked,
+    or chunk lanes with ones one 1 per lane (a bit below 2 and a basis below
+    M in each lane).  A float raises TypeError from the bitwise operators.
     """
     if ones == 1:
-        _check_int(bit, 2, "bits must be 0 or 1")
-        _check_int(basis, c.m_bases, f"basis out of range for M={c.m_bases}")
+        check_range(bit, 2, "bits must be 0 or 1")
+        check_range(basis, c.m_bases, f"basis out of range for M={c.m_bases}")
     return basis | (bit ^ c.polarity(basis, ones)) << c.basis_bits
 
 
@@ -137,10 +122,11 @@ def decode_lenient(j, basis, c: Constellation, ones=1):
     encode() accepts, with points below 2M in each lane; an int point is
     read mod 2M.
     """
-    k, m = c.basis_bits, c.m_bases
-    # bit k of (j mod M) + M - basis is 1 iff j mod M >= basis; no lane borrows
-    ahead = (j & (m - 1) * ones) + m * ones - basis
-    return ((j >> k) ^ (ahead >> k) ^ ones ^ c.polarity(basis, ones)) & ones
+    k = c.basis_bits
+    # The low k + 1 bits of (j | M) - basis are (j mod M) + M - basis, which
+    # no lane borrows into: bit k is 1 iff j mod M >= basis.
+    ahead = (j | c.m_bases * ones) - basis
+    return ((j ^ ahead) >> k ^ ones ^ c.polarity(basis, ones)) & ones
 
 
 def _lfsr_fill_py(state, tap_shifts, top, out):
@@ -224,9 +210,9 @@ class KeystreamGen:
             word |= block << (i * size)
         return (word >> (pos - first * size)) & ((1 << self.degree) - 1)
 
-    def _take(self, n: int) -> tuple[bytes, int]:
-        """Advance by n bits: the little-endian bytes of the blocks that hold them, and
-        the offset of the first one.
+    def bits(self, n: int) -> bytes:
+        """Next n keystream bits packed little-endian, the first in bit 0 of byte 0 and
+        any bits past n zero; advances the state.
 
         Blocks are computed through the one holding the register after the
         call, o[pos+n+d-1], so the register can always be read from the history.
@@ -244,47 +230,90 @@ class KeystreamGen:
                 out.append(block)
             self._next += 1
         self._pos = end
-        return b"".join(b.to_bytes(size // 8, "little") for b in out), pos - first * size
-
-    def stream(self, n: int) -> int:
-        """Next n keystream bits as an int, the first in bit 0; advances the state."""
-        packed, head = self._take(n)
-        return (int.from_bytes(packed, "little") >> head) & ((1 << n) - 1)
-
-    def bits(self, n: int) -> bytes:
-        """Next n keystream bits, one byte of 0 or 1 each; advances the state."""
-        packed, head = self._take(n)
-        skip = head & 7
-        return bytes(_unpackbits(packed[head >> 3:(head + n + 7) >> 3])[skip:skip + n])
+        head = pos - first * size
+        packed = b"".join(block.to_bytes(size >> 3, "little") for block in out)
+        if head & 7 or n & 7:  # not whole bytes: shift and mask them as one int
+            word = (int.from_bytes(packed, "little") >> head) & ((1 << n) - 1)
+            return word.to_bytes((n + 7) >> 3, "little")
+        return packed[head >> 3:(head + n) >> 3]
 
 
-def _basis_lanes(gen: KeystreamGen, c: Constellation, n: int) -> int:
-    """The next n bases as 16-bit lanes, each log2(M) keystream bits read big-endian.
+def _lane_bytes(c: Constellation) -> int:
+    """Bytes per lane of the chunk codec: 1 while the 2M points fit in a byte, else 2."""
+    return 1 if c.num_points <= 256 else 2
 
-    Keystream bit r of each basis is the plane stream[r::k]; planes are OR-ed
-    into the low or high byte of the lanes as 8-bit lanes, which cannot carry.
+
+@lru_cache(maxsize=2)
+def _lane_ones(n: int, q: int) -> int:
+    """One 1 at the bottom of each of n lanes of q bytes."""
+    return int.from_bytes(b"\x01".ljust(q, b"\x00") * n, "little")
+
+
+def _lanes(q: int, low: bytes, high: bytes = b"") -> int:
+    """Int with one lane of q bytes per byte of low: lane g holds low[g] + 256 * high[g]."""
+    if q == 1:
+        return int.from_bytes(low, "little")
+    buf = bytearray(2 * len(low))
+    buf[0::2] = low
+    if high:
+        buf[1::2] = high
+    return int.from_bytes(buf, "little")
+
+
+@lru_cache(maxsize=16)
+def _basis_plan(k: int) -> tuple:
+    """How the 8 k-bit bases held by each group of k keystream bytes are assembled.
+
+    Basis f is bits fk..fk+k-1 of the group read big-endian.  Entry f lists
+    (e, mask, shift) per byte e it draws on: in byte e bit-reversed, keystream
+    bit 8e + t sits at bit 7 - t, and the bits under mask move by shift
+    (left if positive) to their place in the basis.
     """
+    plan = []
+    for f in range(8):
+        lo, hi = f * k, f * k + k - 1
+        parts = []
+        for e in range(lo >> 3, (hi >> 3) + 1):
+            first, last = max(lo - 8 * e, 0), min(hi - 8 * e, 7)  # bits t of byte e in basis f
+            parts.append((e, (1 << 8 - first) - (1 << 7 - last), hi - 8 * e - 7))
+        plan.append(tuple(parts))
+    return tuple(plan)
+
+
+def _basis_planes(gen: KeystreamGen, c: Constellation, groups: int, q: int) -> list[int]:
+    """Bases of the next 8 * groups symbols, each log2(M) keystream bits read big-endian,
+    as 8 planes: lane g of plane f (q bytes) holds the basis of symbol 8g + f."""
     k = c.basis_bits
-    stream = gen.bits(n * k)
-    halves = [0, 0]
-    for r in range(k):
-        shift = k - 1 - r
-        halves[shift >> 3] |= int.from_bytes(stream[r::k], "little") << (shift & 7)
-    low, high = halves
-    return _lanes(low.to_bytes(n, "little"), high.to_bytes(n, "little") if high else b"")
-
-
-@lru_cache(maxsize=1)
-def _lane_ones(n: int) -> int:
-    return int.from_bytes(b"\x01\x00" * n, "little")
+    if k == 0:
+        return [0] * 8
+    stream = gen.bits(8 * groups * k)
+    ones = _lane_ones(groups, q)
+    columns = [_lanes(q, stream[e::k].translate(_REVERSED)) for e in range(k)]
+    planes = []
+    for parts in _basis_plan(k):
+        basis = 0
+        for e, mask, shift in parts:
+            part = columns[e] & mask * ones
+            basis |= part << shift if shift >= 0 else part >> -shift
+        planes.append(basis)
+    return planes
 
 
 def encrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:
-    """Ciphertext body of a plaintext chunk: one little-endian u16 point per bit, MSB first."""
-    n = 8 * len(chunk)
-    bits = _lanes(_unpackbits(chunk, msb_first=True))
-    points = encode(bits, _basis_lanes(gen, const, n), const, _lane_ones(n))
-    return points.to_bytes(2 * n, "little")
+    """Ciphertext body of a plaintext chunk: one little-endian u16 point per bit, MSB first.
+
+    Works on 8 planes of lanes, plane f holding bit f (MSB first) of every byte.
+    """
+    q, groups = _lane_bytes(const), len(chunk)
+    ones = _lane_ones(groups, q)
+    body = bytearray(16 * groups)
+    for f, basis in enumerate(_basis_planes(gen, const, groups, q)):
+        bits = _lanes(q, chunk.translate(_BIT_TABLES[7 - f]))
+        points = encode(bits, basis, const, ones).to_bytes(q * groups, "little")
+        body[2 * f::16] = points[0::q]
+        if q == 2:
+            body[2 * f + 1::16] = points[1::2]
+    return bytes(body)
 
 
 def decrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> bytes:
@@ -292,11 +321,20 @@ def decrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> byte
     if len(chunk) % 2:
         raise ValueError("ciphertext body has an odd number of bytes; "
                          "each point index takes two")
-    n = len(chunk) // 2
-    points, ones = int.from_bytes(chunk, "little"), _lane_ones(n)
-    if points & (0xFFFF ^ (const.num_points - 1)) * ones:
+    whole = len(chunk) % 16 == 0  # 8 points per plaintext byte
+    # padded with point 0, so that an out-of-range point is reported first
+    chunk = chunk if whole else chunk.ljust(len(chunk) + 16 - len(chunk) % 16, b"\x00")
+    q, groups = _lane_bytes(const), len(chunk) // 16
+    ones = _lane_ones(groups, q)
+    points = [_lanes(q, chunk[2 * f::16], chunk[2 * f + 1::16] if q == 2 else b"")
+              for f in range(8)]
+    high = chunk[1::2] if q == 1 else b""  # high bytes, which must be 0
+    out_of_range = ((1 << 8 * q) - const.num_points) * ones  # lane bits >= 2M
+    if high != bytes(len(high)) or any(j & out_of_range for j in points):
         raise ValueError("ciphertext contains out-of-range point indices")
-    if n % 8 != 0:
+    if not whole:
         raise ValueError("ciphertext bit count is not a whole number of bytes")
-    bits = decode_lenient(points, _basis_lanes(gen, const, n), const, ones)
-    return _packbits(bits.to_bytes(2 * n, "little")[0::2])
+    plain = 0
+    for f, basis in enumerate(_basis_planes(gen, const, groups, q)):
+        plain |= decode_lenient(points[f], basis, const, ones) << (7 - f)
+    return plain.to_bytes(q * groups, "little")[0::q]

@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .cipher import Constellation, KeystreamGen, encode
+from .cipher import Constellation, KeystreamGen, check_range, encode
 from .fock import phase_distribution, wrap_angle
 from .receivers import BER_LAWS, EVE_STRATEGIES, ReceiverModel
 
@@ -192,22 +192,15 @@ def point_dtype(const: Constellation):
     return np.uint16 if const.num_points <= 1 << 16 else np.int64
 
 
-def _in_range(x: np.ndarray, bound: int, message: str) -> np.ndarray:
-    """x, or ValueError(message) unless every value lies in 0..bound-1."""
-    if x.size and (x.min() < 0 or x.max() >= bound):
-        raise ValueError(message)
-    return x
-
-
 def encode_points(bits: np.ndarray, bases: np.ndarray, const: Constellation) -> np.ndarray:
     """cipher.encode of equal-length integer arrays, in point_dtype(const).
 
     The ranges are checked first, since the narrowing cast would wrap them silently.
     """
     dtype = point_dtype(const)
-    bits = _in_range(bits, 2, "bits must be 0 or 1").astype(dtype, copy=False)
-    bases = _in_range(bases, const.m_bases, f"basis out of range for M={const.m_bases}")
-    return encode(bits, bases.astype(dtype, copy=False), const)
+    check_range(bits, 2, "bits must be 0 or 1")
+    check_range(bases, const.m_bases, f"basis out of range for M={const.m_bases}")
+    return encode(bits.astype(dtype, copy=False), bases.astype(dtype, copy=False), const)
 
 
 def dsr_offset(rng: np.random.Generator, d: int, j, m_bases: int):
@@ -232,8 +225,7 @@ def keyed_bases(gen: KeystreamGen, m_bases: int, count: int) -> np.ndarray:
     k = Constellation(m_bases).basis_bits  # raises unless M is a power of two
     if k == 0:
         return np.zeros(count, dtype=np.uint16)
-    packed = gen.stream(count * k).to_bytes((count * k + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), count=count * k,
+    bits = np.unpackbits(np.frombuffer(gen.bits(count * k), dtype=np.uint8), count=count * k,
                          bitorder="little").reshape(count, k)
     out = np.zeros(count, dtype=np.uint16 if k <= 16 else np.int64)
     for col in range(k):  # column by column: no count*k int64 copy

@@ -18,6 +18,13 @@ from alphaeta.cipher import (
 from alphaeta.montecarlo import dsr_offset, encode_points, keyed_bases, point_dtype
 
 POWERS_OF_TWO = [1, 2, 4, 8, 16, 32, 64]
+
+
+def unpacked(packed: bytes, n: int) -> np.ndarray:
+    """KeystreamGen.bits(n) output as one uint8 0 or 1 per keystream bit."""
+    return np.unpackbits(np.frombuffer(packed, np.uint8), count=n, bitorder="little")
+
+
 LFSR_POLYNOMIALS = [  # (taps, degree) of maximal-length LFSRs
     ((4, 3), 4),
     ((32, 22, 2, 1), 32),
@@ -115,11 +122,19 @@ class TestEncodeDecode:
         assert c.point_bit(j).tolist() == bits.tolist()
         assert c.point_bit(np.arange(32)).tolist() == [c.point_bit(k) for k in range(32)]
         with pytest.raises(ValueError):
+            encode(bits, basis + 1, c)
+        with pytest.raises(ValueError):
+            encode(bits * 2, basis, c)
+        with pytest.raises(ValueError):
+            c.point_bit(np.array([0, 32]))
+        with pytest.raises(ValueError):
+            c.point_bit(np.array([-1, 0]))
+        with pytest.raises(ValueError):
+            c.point_bit(32)
+        with pytest.raises(ValueError):
             encode_points(bits, basis + 1, c)
         with pytest.raises(ValueError):
             encode_points(bits * 2, basis, c)
-        with pytest.raises(ValueError):
-            c.point_bit(32)
 
     def test_decode_lenient_vectorized(self):
         c = Constellation(8)
@@ -147,10 +162,12 @@ class TestEncodeDecode:
         for b in sorted({0, 1, m // 2, m - 1}):
             keyed = np.full(points.size, b, dtype=np.int64)
             want = (points - keyed) % (2 * m) // m ^ polarity(keyed)
-            # points in point_dtype, bases as keyed_bases() gives them
-            got = decode_lenient(points.astype(dtype), keyed.astype(np.uint16), c)
-            assert got.dtype == dtype
+            got = decode_lenient(points, keyed.astype(np.uint16), c)  # as keyed_bases() gives them
             assert np.array_equal(got, want)
+            # with the points in point_dtype too, the result keeps that dtype, unwrapped
+            narrow = decode_lenient(points.astype(dtype), keyed.astype(np.uint16), c)
+            assert narrow.dtype == dtype
+            assert np.array_equal(narrow, want)
             assert decode_lenient(int(points[-1]), b, c) == int(want[-1])
 
     @pytest.mark.parametrize("m", [2, 1 << 15, 1 << 16])
@@ -202,32 +219,38 @@ class TestChunkCodec:
         want = [decode_lenient(int(j), int(a), c) for j, a in zip(points, basis)]
         assert unlanes(got, points.size) == want
 
-    @pytest.mark.parametrize("m", [1, 2, 32, 1 << 15])
+    @pytest.mark.parametrize("m", [1, 2, 32, 128, 256, 1 << 15])
     @pytest.mark.parametrize("mapping", MAPPINGS)
-    def test_chunks_match_scalar_codec(self, m, mapping):
+    @pytest.mark.parametrize("lead", [0, 3])
+    def test_chunks_match_scalar_codec(self, m, mapping, lead):
         """encrypt_chunk is scalar encode of each plaintext bit (MSB first) under the bases
         of a twin generator's bits, and decrypt_chunk is scalar decode_lenient of
-        each u16 point, for in-pair and arbitrary points."""
+        each u16 point, for in-pair and arbitrary points; also when the generator
+        has first given out `lead` bits, so a chunk starts inside a keystream byte."""
         c = Constellation(m, mapping)
         k = c.basis_bits
+
+        def generator():
+            gen = KeystreamGen.from_hex("c0ffee")
+            gen.bits(lead)
+            return gen
+
         rng = np.random.default_rng(m)
         plain = rng.integers(0, 256, size=300, dtype=np.uint8).tobytes()
-        twin = KeystreamGen.from_hex("c0ffee")
         bits = np.unpackbits(np.frombuffer(plain, np.uint8)).tolist()
-        stream = np.frombuffer(twin.bits(len(bits) * k), np.uint8).reshape(len(bits), k)
+        stream = unpacked(generator().bits(len(bits) * k), len(bits) * k).reshape(len(bits), k)
         bases = [int("".join(map(str, row)) or "0", 2) for row in stream.tolist()]
-        body = encrypt_chunk(KeystreamGen.from_hex("c0ffee"), c, plain)
+        body = encrypt_chunk(generator(), c, plain)
         assert np.frombuffer(body, "<u2").tolist() == [
             encode(b, a, c) for b, a in zip(bits, bases)]
-        assert decrypt_chunk(KeystreamGen.from_hex("c0ffee"), c, body) == plain
+        assert decrypt_chunk(generator(), c, body) == plain
 
         points = rng.integers(0, 2 * m, size=len(bits))
-        got = decrypt_chunk(KeystreamGen.from_hex("c0ffee"), c,
-                            points.astype("<u2").tobytes())
+        got = decrypt_chunk(generator(), c, points.astype("<u2").tobytes())
         want = [decode_lenient(int(j), a, c) for j, a in zip(points, bases)]
         assert np.unpackbits(np.frombuffer(got, np.uint8)).tolist() == want
 
-    @pytest.mark.parametrize("m", [1, 32, 1 << 14])
+    @pytest.mark.parametrize("m", [1, 32, 128, 256, 1 << 14])
     @pytest.mark.parametrize("lane", [0, 11, 23])
     def test_out_of_range_point_in_any_lane(self, m, lane):
         c = Constellation(m)
@@ -282,9 +305,9 @@ class TestKeystreamGen:
             state = gen.register
         assert len(states) == 15
         fresh = KeystreamGen(0b0001, taps=(4, 1), degree=4)
-        seq = fresh.bits(45)
-        assert seq[:15] == seq[15:30]
-        assert seq[15:30] == seq[30:45]
+        seq = unpacked(fresh.bits(45), 45)
+        assert np.array_equal(seq[:15], seq[15:30])
+        assert np.array_equal(seq[15:30], seq[30:45])
 
     def test_zero_bits_leaves_state(self):
         gen = KeystreamGen.from_hex("abc123")
@@ -311,7 +334,7 @@ class TestKeystreamGen:
 
     def test_next_basis_binary_interpretation(self):
         gen = KeystreamGen.from_hex("deadbeef")
-        bits = KeystreamGen.from_hex("deadbeef").bits(2)
+        bits = unpacked(KeystreamGen.from_hex("deadbeef").bits(2), 2)
         expected = (int(bits[0]) << 1) | int(bits[1])
         assert keyed_bases(gen, 4, 1).tolist() == [expected]
 
@@ -331,15 +354,15 @@ class TestKeystreamGen:
         seq = [int(keyed_bases(gen, 16, 1)[0]) for _ in range(200)]
         assert bulk.tolist() == seq
         # bit-serial reference: each basis is 4 keystream bits read big-endian
-        bits = np.frombuffer(KeystreamGen.from_hex("c0ffee").bits(800), np.uint8).reshape(200, 4)
+        bits = unpacked(KeystreamGen.from_hex("c0ffee").bits(800), 800).reshape(200, 4)
         assert bulk.tolist() == [int("".join(map(str, row)), 2) for row in bits]
 
     @pytest.mark.parametrize("m_exp", [1, 8, 9, 15, 16, 17, 20])
     def test_bases_are_big_endian_bits_at_every_width(self, m_exp):
         # across the uint16 -> int64 switch at M = 2^16 the values must not change
         bulk = keyed_bases(KeystreamGen.from_hex("c0ffee"), 1 << m_exp, 300)
-        bits = np.frombuffer(KeystreamGen.from_hex("c0ffee").bits(300 * m_exp),
-                             np.uint8).reshape(300, m_exp)
+        bits = unpacked(KeystreamGen.from_hex("c0ffee").bits(300 * m_exp),
+                        300 * m_exp).reshape(300, m_exp)
         assert bulk.tolist() == [int("".join(map(str, row)), 2) for row in bits.tolist()]
 
     def test_interleaved_calls_deterministic(self):
@@ -361,10 +384,10 @@ class TestKeystreamGen:
     def test_python_fallback_matches_fast_path(self):
         from alphaeta.cipher import _lfsr_fill_py
         gen = KeystreamGen.from_hex("deadbeef")
-        fast = gen.bits(500)
+        fast = unpacked(gen.bits(500), 500)
         slow = np.empty(500, dtype=np.uint8)
         _lfsr_fill_py(int("deadbeef", 16), [t - 1 for t in gen.taps], gen.degree - 1, slow)
-        assert fast == slow.tobytes()
+        assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("taps, degree", LFSR_POLYNOMIALS)
     def test_vectorised_bits_match_bit_serial_reference(self, taps, degree):
@@ -376,15 +399,16 @@ class TestKeystreamGen:
             ref = np.empty(n + degree - 1, dtype=np.uint8)
             mid_state = _lfsr_fill_py(gen.register, shifts, degree - 1, ref[:n])
             end_state = _lfsr_fill_py(mid_state, shifts, degree - 1, ref[n:])
-            assert gen.bits(n) == ref[:n].tobytes()
+            assert np.array_equal(unpacked(gen.bits(n), n), ref[:n])
             assert gen.register == mid_state
             assert len(gen.bits(0)) == 0
             assert gen.register == mid_state
-            assert gen.bits(degree - 1) == ref[n:].tobytes()  # n < degree
+            assert np.array_equal(unpacked(gen.bits(degree - 1), degree - 1), ref[n:])  # n < degree
             assert gen.register == end_state
             split = KeystreamGen(seed, taps, degree)
-            joined = split.bits(12_345) + split.bits(n - 12_345)
-            assert joined == ref[:n].tobytes()
+            joined = np.concatenate([unpacked(split.bits(12_345), 12_345),
+                                     unpacked(split.bits(n - 12_345), n - 12_345)])
+            assert np.array_equal(joined, ref[:n])
             assert split.register == mid_state
 
 
@@ -404,10 +428,14 @@ def test_bits_split_into_calls_matches_one_call(poly, seed, calls):
     gen = KeystreamGen(seed, taps, degree)
     pos = 0
     for n in calls:
-        assert gen.bits(n) == ref[pos:pos + n].tobytes()
+        packed = gen.bits(n)
+        assert len(packed) == (n + 7) // 8
+        assert int.from_bytes(packed, "little") >> n == 0  # the bits past n are zero
+        assert np.array_equal(unpacked(packed, n), ref[pos:pos + n])
         pos += n
         assert gen.register == sum(int(b) << i for i, b in enumerate(ref[pos:pos + degree]))
-    assert KeystreamGen(seed, taps, degree).bits(total) == ref[:total].tobytes()
+    assert np.array_equal(unpacked(KeystreamGen(seed, taps, degree).bits(total), total),
+                          ref[:total])
 
 
 @pytest.mark.parametrize("taps, degree, calls", [
@@ -424,7 +452,7 @@ def test_bits_history_is_capped(taps, degree, calls):
     gen = KeystreamGen(seed, taps, degree)
     pos = 0
     for n in calls:
-        assert gen.bits(n) == ref[pos:pos + n].tobytes()
+        assert np.array_equal(unpacked(gen.bits(n), n), ref[pos:pos + n])
         pos += n
         assert gen.register == sum(int(b) << i for i, b in enumerate(ref[pos:pos + degree]))
         assert len(gen._blocks) == degree
@@ -438,10 +466,10 @@ def test_bits_keeps_the_register_when_the_cap_is_below_the_degree(monkeypatch):
     ref = np.empty(3000 + degree, dtype=np.uint8)
     cipher._lfsr_fill_py(12345, [t - 1 for t in taps], degree - 1, ref)
     gen = KeystreamGen(12345, taps, degree)
-    assert gen.bits(1000) == ref[:1000].tobytes()
+    assert np.array_equal(unpacked(gen.bits(1000), 1000), ref[:1000])
     assert len(gen._blocks) == degree
     assert gen.register == sum(int(b) << i for i, b in enumerate(ref[1000:1000 + degree]))
-    assert gen.bits(2000) == ref[1000:3000].tobytes()
+    assert np.array_equal(unpacked(gen.bits(2000), 2000), ref[1000:3000])
 
 
 @settings(max_examples=60, deadline=None)
