@@ -28,7 +28,6 @@ DEFAULT_DEGREE = 32
 DEFAULT_TAPS = (32, 22, 2, 1)  # maximal-length polynomial x^32+x^22+x^2+x+1
 BLOCK_BITS = 1 << 14  # keystream block size; bits() keeps the last `degree` blocks
 
-_BIT_TABLES = tuple(bytes((v >> i) & 1 for v in range(256)) for i in range(8))
 _REVERSED = bytes(int(f"{v:08b}"[::-1], 2) for v in range(256))
 
 
@@ -66,7 +65,7 @@ class Constellation:
 
     def polarity(self, basis, ones=1):
         """1 where basis m carries its bits on flipped halves (odd m under "alternating");
-        ones is 1, or one 1 per lane of a chunk."""
+        ones is 1, or one 1 per lane of a plane of the file cipher."""
         return basis & ones if self.mapping == "alternating" else 0
 
     def point_bit(self, j):
@@ -94,8 +93,8 @@ def encode(bit, basis, c: Constellation, ones=1):
     """Point basis + (bit ^ polarity(basis)) * M.
 
     bit and basis are ints or equal-length integer arrays, both range-checked,
-    or chunk lanes with ones one 1 per lane (a bit below 2 and a basis below
-    M in each lane).  A float raises TypeError from the bitwise operators.
+    or planes of lanes with ones one 1 per lane (a bit below 2 and a basis
+    below M in each lane).  A float raises TypeError from the bitwise operators.
     """
     if ones == 1:
         check_range(bit, 2, "bits must be 0 or 1")
@@ -306,10 +305,10 @@ def encrypt_chunk(gen: KeystreamGen, const: Constellation, chunk: bytes) -> byte
     """
     q, groups = _lane_bytes(const), len(chunk)
     ones = _lane_ones(groups, q)
+    plain = _lanes(q, chunk)
     body = bytearray(16 * groups)
     for f, basis in enumerate(_basis_planes(gen, const, groups, q)):
-        bits = _lanes(q, chunk.translate(_BIT_TABLES[7 - f]))
-        points = encode(bits, basis, const, ones).to_bytes(q * groups, "little")
+        points = encode(plain >> (7 - f) & ones, basis, const, ones).to_bytes(q * groups, "little")
         body[2 * f::16] = points[0::q]
         if q == 2:
             body[2 * f + 1::16] = points[1::2]

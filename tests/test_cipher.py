@@ -403,7 +403,8 @@ class TestKeystreamGen:
             assert gen.register == mid_state
             assert len(gen.bits(0)) == 0
             assert gen.register == mid_state
-            assert np.array_equal(unpacked(gen.bits(degree - 1), degree - 1), ref[n:])  # n < degree
+            # n < degree
+            assert np.array_equal(unpacked(gen.bits(degree - 1), degree - 1), ref[n:])
             assert gen.register == end_state
             split = KeystreamGen(seed, taps, degree)
             joined = np.concatenate([unpacked(split.bits(12_345), 12_345),
