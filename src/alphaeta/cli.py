@@ -139,7 +139,7 @@ def cmd_simulate(args) -> int:
         cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    report = run_simulation(cfg, workers=args.workers)
+    report = run_simulation(cfg)
     _write_output(_to_json(report.to_dict()), args.output)
     return 0
 
@@ -323,39 +323,57 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, subparsers
 
 
+def _config_path(argv: list[str]) -> str | None:
+    """The file of the last --config FILE or --config=FILE, read as argparse reads
+    it: also under a prefix such as --conf, as no other flag starts with --c."""
+    path = None
+    for i, arg in enumerate(argv):
+        flag, eq, value = arg.partition("=")
+        if len(flag) < 3 or not "--config".startswith(flag):
+            continue
+        if eq:
+            path = value
+        elif i + 1 < len(argv):
+            path = argv[i + 1]
+    return path  # None also when the value is missing: argparse reports that
+
+
 def _apply_config_file(argv: list[str], subparsers) -> None:
-    if not argv or argv[0] not in subparsers or "--config" not in argv:
+    path = _config_path(argv)
+    if not argv or argv[0] not in subparsers or path is None:
         return
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return  # argparse will report the missing value
     sp = subparsers[argv[0]]
     known = {a.dest: a for a in sp._actions}
     defaults = {}
-    with open(argv[idx + 1], encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            dest = key.strip().replace("-", "_")
-            if dest not in known or dest in ("func", "config", "help"):
-                raise UsageError(f"config line {lineno}: unknown key {key.strip()!r}")
-            action = known[dest]
-            value = value.strip()
-            if action.type is not None:
-                try:
-                    value = action.type(value)
-                except ValueError:
-                    raise UsageError(f"config line {lineno}: invalid {key.strip()} "
-                                     f"value {value!r}") from None
-            if action.choices is not None and value not in action.choices:
-                raise UsageError(f"config line {lineno}: {key.strip()} must be one of "
-                                 f"{', '.join(map(str, action.choices))}, got {value!r}")
-            defaults[dest] = value
-            action.required = False  # a config value satisfies a required flag
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file {path}: "
+                         f"{getattr(exc, 'strerror', None) or exc}") from None
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise UsageError(f"config line {lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        dest = key.strip().replace("-", "_")
+        if dest not in known or dest in ("func", "config", "help"):
+            raise UsageError(f"config line {lineno}: unknown key {key.strip()!r}")
+        action = known[dest]
+        value = value.strip()
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                raise UsageError(f"config line {lineno}: invalid {key.strip()} "
+                                 f"value {value!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(f"config line {lineno}: {key.strip()} must be one of "
+                             f"{', '.join(map(str, action.choices))}, got {value!r}")
+        defaults[dest] = value
+        action.required = False  # a config value satisfies a required flag
     sp.set_defaults(**defaults)
 
 

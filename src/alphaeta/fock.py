@@ -27,14 +27,6 @@ def log_poisson(s: float, n: int) -> float:
     return n * math.log(s) - s - math.lgamma(n + 1)
 
 
-def wrap_angle(phi):
-    """Wrap an angle (or array of angles) into [-pi, pi)."""
-    wrapped = np.mod(np.asarray(phi, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-    if np.isscalar(phi) or np.ndim(phi) == 0:
-        return float(wrapped)
-    return wrapped
-
-
 def coherent_amplitudes(s: float) -> tuple[np.ndarray, np.ndarray]:
     """(n, c): the real amplitudes c_n = e^{-S/2} S^{n/2} / sqrt(n!) of |sqrt S> on
     the photon window.

@@ -1,41 +1,35 @@
 """End-to-end Monte Carlo engine for the keyed-constellation link.
 
-A keyed receiver's error depends only on the sent point's offset k from the
-basis axis, so a run builds one per-offset error table per keyed receiver from
-its law, and a batch decides its keyed trials as counts: given the histogram of
-k over the batch, the receiver's errors are one binomial draw per offset cell,
-which is exact in distribution.  Keyless nearest-point Eve samples the
-canonical phase trial by trial.
+Every receiver errs on a trial with a probability that depends only on the
+trial's cell, so a run builds one error table per receiver and a batch decides
+each receiver with one kernel: given the histogram of the batch's trials over
+the cells, its errors are one binomial draw per occupied cell, which is exact in
+distribution.  A keyed receiver's cell is the sent point's offset k from the
+basis axis.  Keyless nearest-point Eve's cell is the sent bit and point (b, j).
 
 k = (bit ^ polarity(m)) * M + dither is uniform over its cells whatever the
-basis m, so the keystream is drawn only for a nearest-point Eve; in a
-keyed-only run seed_key does not affect the counts, but it is still validated
-and echoed in the report.
+basis m, so the keystream is drawn only for a nearest-point Eve, whose cells
+depend on it; in a keyed-only run seed_key does not affect the counts, but it
+is still validated and echoed in the report.
 
-Trials run in fixed batches of 65536; batch i draws from an RNG stream
-keyed by (master_seed, i) and, with a nearest-point Eve, takes the
-keystream's i-th slice of bases, so results are bit-identical regardless of
-how many workers execute the batches.  Only a nearest-point Eve's batches go
-to a thread pool; a keyed-only batch is a few draws and runs inline.  The
-keystream is drawn batch by batch as the pool consumes it, so memory is
-bounded by the batch size, not the trial count.
+Trials run in fixed batches of 65536, in batch order; batch i draws from an RNG
+stream keyed by (master_seed, i) and, with a nearest-point Eve, takes the
+keystream's i-th slice of bases.  The keystream is drawn batch by batch, so
+memory is bounded by the batch size, not the trial count.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .cipher import Constellation, KeystreamGen, check_range, encode
-from .fock import phase_distribution, wrap_angle
+from .cipher import Constellation, KeystreamGen, encode
+from .fock import phase_distribution
 from .receivers import BER_LAWS, EVE_STRATEGIES, ReceiverModel
 
 BATCH_SIZE = 1 << 16
-CHUNK_SIZE = 1 << 14  # trials per decision step; bounds every per-trial temporary
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -177,6 +171,28 @@ def offset_error_table(kind: str, s: float, m_count: int,
     return per_angle[np.minimum(steps, m_count - steps)]
 
 
+def nearest_point_table(sampler: PhaseSampler, const: Constellation) -> np.ndarray:
+    """p_err[b * 2M + j]: the probability that keyless Eve, who snaps a canonical-phase
+    outcome to the nearest of all 2M points and reads that point's bit, errs on a
+    trial that sent bit b on point j.
+
+    a[i], the density mass on the pi/M-wide arc around offset i pi/M, is read from
+    the sampler's CDF.  She reads 1 with probability q[j] = sum_i a[i] *
+    point_bit((j + i) mod 2M), a circular correlation that one rFFT gives at any M,
+    and errs with q[j] when b = 0 and 1 - q[j] when b = 1: under DSR the sent bit
+    need not be point_bit(j).
+    """
+    n, m_count = const.num_points, const.m_bases
+    # mass beyond |phi| = pi (i + 1/2) / M, i < M: 2 F(-|phi|), as the density is even
+    tails = 2 * np.interp(-np.pi * (np.arange(m_count) + 0.5) / m_count,
+                          sampler._edges, sampler._cdf)
+    side = -np.diff(tails) / 2  # the arc around +-i pi/M, 0 < i < M
+    arcs = np.concatenate(([1.0 - tails[0]], side, tails[-1:], side[::-1]))
+    ones = const.point_bit(np.arange(n))
+    q = np.clip(np.fft.irfft(np.conj(np.fft.rfft(arcs)) * np.fft.rfft(ones), n), 0.0, 1.0)
+    return np.concatenate((q, 1.0 - q))
+
+
 def offset_histogram(rng: np.random.Generator, n: int, m_count: int, d: int) -> np.ndarray:
     """Counts over k < 2M of the offsets k = (bit ^ polarity(m)) * M + dither mod 2M of
     n keyed trials: one multinomial draw over the 2(2d+1) equally likely cells."""
@@ -185,22 +201,6 @@ def offset_histogram(rng: np.random.Generator, n: int, m_count: int, d: int) -> 
     hist = np.zeros(2 * m_count, dtype=np.int64)
     hist[cells] = rng.multinomial(n, np.full(cells.size, 1.0 / cells.size))
     return hist
-
-
-def point_dtype(const: Constellation):
-    """uint16 while 2M divides 2^16, so its wrap-around keeps every residue mod 2M."""
-    return np.uint16 if const.num_points <= 1 << 16 else np.int64
-
-
-def encode_points(bits: np.ndarray, bases: np.ndarray, const: Constellation) -> np.ndarray:
-    """cipher.encode of equal-length integer arrays, in point_dtype(const).
-
-    The ranges are checked first, since the narrowing cast would wrap them silently.
-    """
-    dtype = point_dtype(const)
-    check_range(bits, 2, "bits must be 0 or 1")
-    check_range(bases, const.m_bases, f"basis out of range for M={const.m_bases}")
-    return encode(bits.astype(dtype, copy=False), bases.astype(dtype, copy=False), const)
 
 
 def dsr_offset(rng: np.random.Generator, d: int, j, m_bases: int):
@@ -234,108 +234,74 @@ def keyed_bases(gen: KeystreamGen, m_bases: int, count: int) -> np.ndarray:
     return out
 
 
-def _run_batch(cfg: SimConfig, const: Constellation, sampler: PhaseSampler | None,
-               tables: dict[str, np.ndarray], batch: int, n: int,
+
+
+def _run_batch(cfg: SimConfig, const: Constellation, tables: dict, batch: int, n: int,
                m: np.ndarray | None) -> tuple[int, int]:
     """Bob's and Eve's error counts over the n trials of batch `batch`.
 
-    Every keyed receiver is decided from the batch's offset histogram.  Without a
-    nearest-point Eve (m None) the histogram is one multinomial draw.  Otherwise
-    m holds the keyed bases, and the batch draws its bits and DSR dithers as
-    consecutive CHUNK_SIZE-trial calls (which give the same values as one call)
-    and counts k = (j - m) mod 2M; only the bits (uint8) and the sent points (in
-    the constellation's point dtype) span the batch.  Bob's and then Eve's
-    decisions follow.
+    Without a nearest-point Eve (m None) the batch's offset histogram is one
+    multinomial draw.  Otherwise m holds the keyed bases: the batch draws its bits
+    and DSR dithers, sends j = encode(bit, m) + dither, and counts Bob's offsets
+    k = (j - m) mod 2M and Eve's cells bit * 2M + j.  Bob's decisions come first,
+    then Eve's.
     """
     m_count = cfg.m_bases
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
     if m is None:
-        hist = offset_histogram(rng, n, m_count, cfg.dsr_d)
+        hist = eve_hist = offset_histogram(rng, n, m_count, cfg.dsr_d)
     else:
-        chunks = [slice(lo, min(lo + CHUNK_SIZE, n)) for lo in range(0, n, CHUNK_SIZE)]
-        bits = np.empty(n, dtype=np.uint8)
-        for c in chunks:
-            bits[c] = rng.integers(0, 2, size=c.stop - c.start, dtype=np.int64)
-        j = np.empty(n, dtype=point_dtype(const))
-        hist = np.zeros(2 * m_count, dtype=np.int64)
-        for c in chunks:
-            j[c] = dsr_offset(rng, cfg.dsr_d, encode_points(bits[c], m[c], const), m_count)
-            # offset from the axis, mod 2M = 2^b
-            hist += np.bincount((j[c] - m[c]) & (2 * m_count - 1), minlength=2 * m_count)
-    occupied = np.flatnonzero(hist)
+        bits = rng.integers(0, 2, size=n)
+        j = dsr_offset(rng, cfg.dsr_d, encode(bits, m, const), m_count)
+        # mod 2M by mask, as 2M is a power of 2: an int64 % costs ~1 ms a batch
+        hist = np.bincount((j - m) & (2 * m_count - 1), minlength=2 * m_count)
+        eve_hist = np.bincount(bits * (2 * m_count) + j, minlength=4 * m_count)
 
-    def errors(kind: str | None) -> int:
-        """Wrong decisions of receiver `kind`: the one decision kernel of Bob and Eve.
+    def errors(counts: np.ndarray, table: np.ndarray) -> int:
+        """Wrong decisions of a receiver that errs with probability table[c] on a trial
+        in cell c: the one decision kernel of Bob and Eve.
 
-        A keyed receiver errs with the probability p_err[k] of its table, so its
-        errors in offset cell k are one Binomial(hist[k], p_err[k]) draw, exact
-        in distribution.  Only the occupied cells are drawn: a draw with n = 0
-        returns 0 without consuming the stream, so this gives the same counts as
-        a draw over all 2M cells.  kind None has no key: it snaps a canonical-phase
-        outcome to the nearest of all 2M points and reads that point's bit.
+        Its errors in cell c are one Binomial(counts[c], table[c]) draw, exact in
+        distribution.  Only the occupied cells are drawn: a draw with n = 0 returns 0
+        without consuming the stream, so this gives the counts of a draw over all cells.
         """
-        if kind is not None:
-            return int(rng.binomial(hist[occupied], tables[kind][occupied]).sum())
-        wrong = 0
-        for c in chunks:
-            phi_hat = wrap_angle(sampler.sample(rng, c.stop - c.start) + np.pi * j[c] / m_count)
-            j_hat = np.rint(phi_hat * m_count / np.pi).astype(np.int64) % (2 * m_count)
-            wrong += np.count_nonzero(const.point_bit(j_hat) != bits[c])
-        return int(wrong)
+        occupied = np.flatnonzero(counts)
+        return int(rng.binomial(counts[occupied], table[occupied]).sum())
 
-    bob_err = errors(cfg.bob_receiver.kind)
-    eve_err = errors(EVE_STRATEGIES[cfg.eve_strategy]) if cfg.eve_strategy != "none" else 0
-    return bob_err, eve_err
+    bob_err = errors(hist, tables[cfg.bob_receiver.kind])
+    if cfg.eve_strategy == "none":
+        return bob_err, 0
+    return bob_err, errors(eve_hist, tables[EVE_STRATEGIES[cfg.eve_strategy]])
 
 
-def run_simulation(cfg: SimConfig, workers: int = 1) -> TrialReport:
-    """Simulate cfg.trials symbols; deterministic for a fixed master_seed.
-
-    A nearest-point Eve's batches run on `workers` threads while the calling
-    thread draws each batch's bases, in batch order; at most 2 * workers batches
-    are in flight.  Keyed-only batches run inline, in batch order.
-    """
+def run_simulation(cfg: SimConfig) -> TrialReport:
+    """Simulate cfg.trials symbols, batch by batch in batch order; deterministic for
+    a fixed master_seed."""
     cfg.validate()
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     const = Constellation(cfg.m_bases, cfg.mapping)
 
     eve_kind = EVE_STRATEGIES.get(cfg.eve_strategy)
     keyed = {cfg.bob_receiver.kind, eve_kind} - {None}
     nearest = cfg.eve_strategy != "none" and eve_kind is None
-    gen = KeystreamGen.from_hex(cfg.seed_key) if nearest else None
     sampler = PhaseSampler(cfg.s) if nearest or "phase" in keyed else None
     tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler) for kind in keyed}
-    if not nearest:
-        sampler = None  # only the nearest-point Eve samples; free its CDF before the pool
-
-    task = partial(_run_batch, cfg, const, sampler, tables)
-    sizes = [min(BATCH_SIZE, cfg.trials - lo) for lo in range(0, cfg.trials, BATCH_SIZE)]
     if nearest:
-        from concurrent.futures import ThreadPoolExecutor  # only her batches need a pool
+        tables[None] = nearest_point_table(sampler, const)  # None: keyless Eve's table
+    del sampler  # the batches do not read it; freeing it first lowers the peak RSS ~1.7 MB
+    gen = KeystreamGen.from_hex(cfg.seed_key) if nearest else None
 
-        counts = []
-        in_flight = deque()
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for batch, n in enumerate(sizes):
-                in_flight.append(pool.submit(task, batch, n, keyed_bases(gen, cfg.m_bases, n)))
-                if len(in_flight) >= 2 * workers:
-                    counts.append(in_flight.popleft().result())
-            counts += [f.result() for f in in_flight]
-    else:  # a keyed-only batch is a few draws: a pool would only add overhead
-        counts = [task(batch, n, None) for batch, n in enumerate(sizes)]
-    bob_err = sum(c[0] for c in counts)
-    eve_err = sum(c[1] for c in counts)
+    bob_err = eve_err = 0
+    for batch, lo in enumerate(range(0, cfg.trials, BATCH_SIZE)):
+        n = min(BATCH_SIZE, cfg.trials - lo)
+        bob, eve = _run_batch(cfg, const, tables, batch, n,
+                              keyed_bases(gen, cfg.m_bases, n) if nearest else None)
+        bob_err += bob
+        eve_err += eve
 
-    def analytic(model: ReceiverModel) -> float:
-        """The receiver's law, averaged over the DSR offsets when there are any."""
-        if cfg.dsr_d == 0:
-            return model.law(cfg.s).exact
-        return float(np.mean(tables[model.kind][np.arange(-cfg.dsr_d, cfg.dsr_d + 1)]))
-
-    analytic_bob = analytic(cfg.bob_receiver)
-    analytic_eve = analytic(ReceiverModel(eve_kind)) if eve_kind else None
+    def analytic(kind: str) -> float:
+        """The receiver's table averaged over the 2d+1 DSR offsets of the axis point."""
+        return float(np.mean(tables[kind][np.arange(-cfg.dsr_d, cfg.dsr_d + 1)]))
 
     eve = BerEstimate.from_counts(eve_err, cfg.trials) if cfg.eve_strategy != "none" else None
     return TrialReport(cfg, BerEstimate.from_counts(bob_err, cfg.trials), eve,
-                       analytic_bob, analytic_eve)
+                       analytic(cfg.bob_receiver.kind), analytic(eve_kind) if eve_kind else None)

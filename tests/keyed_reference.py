@@ -1,12 +1,13 @@
-"""Sampled keyed receivers and per-trial keyed decisions: the references that the
-engine's per-offset error tables and count-level draws replace.
+"""Sampled receivers and per-trial decisions: the references that the engine's
+error tables and count-level draws replace.
 
-The samplers draw a continuous outcome for a point at angle phi_signal and
-decide on which side of the basis axis it falls.  The Monte Carlo engine no
-longer draws these outcomes; tests check that its table decisions have their
-law.  per_trial_keyed_errors decides each trial with its own uniform draw
-against the table; tests check that the engine's binomial draws per offset cell
-have its law.
+The keyed samplers draw a continuous outcome for a point at angle phi_signal
+and decide on which side of the basis axis it falls; nearest_point_bits snaps a
+canonical-phase outcome to the nearest of all 2M points and reads its bit, as
+keyless nearest-point Eve does.  The Monte Carlo engine no longer draws these
+outcomes; tests check that its table decisions have their law.
+per_trial_errors decides each trial on its own; tests check that the engine's
+binomial draws per cell have its law.
 
 Quadrature convention: x = (a + a^dag)/2, vacuum variance 1/4 per quadrature.
 Homodyne sees that vacuum noise directly; heterodyne pays one extra vacuum
@@ -52,13 +53,25 @@ def half_planes(sampler, m_count: int) -> tuple[np.ndarray, np.ndarray]:
     return lo % 1.0, cdf(start + np.pi) - lo
 
 
-def per_trial_keyed_errors(cfg, tables: dict[str, np.ndarray], batch: int, m: np.ndarray):
-    """Bob's and keyed Eve's error counts, and the offsets k, of the trials of batch
+def nearest_point_bits(sampler, rng: np.random.Generator, j: np.ndarray,
+                       const: Constellation) -> np.ndarray:
+    """The bit read off each point j by snapping a canonical-phase outcome around it
+    to the nearest of the 2M points."""
+    phi = sampler.sample(rng, j.size) + np.pi * j / const.m_bases
+    return const.point_bit(np.rint(phi * const.m_bases / np.pi).astype(np.int64)
+                           % const.num_points)
+
+
+def per_trial_errors(cfg, tables: dict[str, np.ndarray], batch: int, m: np.ndarray,
+                     sampler=None):
+    """Bob's and Eve's error counts, and the offsets k, of the trials of batch
     `batch` with keyed bases m, decided trial by trial.
 
     The batch draws its bits from the (master_seed, batch) stream, then its DSR
     dithers, sends j = encode(bit, m) + dither and takes k = (j - m) mod 2M; Bob's
-    and then Eve's trials each err when one uniform u < p_err[k].
+    and then a keyed Eve's trials each err when one uniform u < p_err[k].  A
+    nearest-point Eve errs when the bit she reads off j (from `sampler`) is not
+    the bit sent.
     """
     const = Constellation(cfg.m_bases, cfg.mapping)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
@@ -66,7 +79,9 @@ def per_trial_keyed_errors(cfg, tables: dict[str, np.ndarray], batch: int, m: np
     j = dsr_offset(rng, cfg.dsr_d, encode(bits, m, const).astype(np.int64), cfg.m_bases)
     k = (j - m) % (2 * cfg.m_bases)
 
-    def errors(kind: str) -> int:
+    def errors(kind: str | None) -> int:
+        if kind is None:
+            return int(np.count_nonzero(nearest_point_bits(sampler, rng, j, const) != bits))
         return int(np.count_nonzero(rng.random(m.size) < tables[kind][k]))
 
     bob = errors(cfg.bob_receiver.kind)

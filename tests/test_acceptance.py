@@ -125,15 +125,15 @@ def test_06_monte_carlo_matches_analytic():
     checks = []
 
     rep = run_simulation(SimConfig(s=7.0, bob_receiver=ReceiverModel("heterodyne"),
-                                   eve_strategy="none", **base), workers=8)
+                                   eve_strategy="none", **base))
     checks.append(("S=7 heterodyne Bob", rep.bob, rep.analytic_bob))
 
     rep = run_simulation(SimConfig(s=2.0, bob_receiver=ReceiverModel("homodyne"),
-                                   eve_strategy="none", **base), workers=8)
+                                   eve_strategy="none", **base))
     checks.append(("S=2 homodyne Bob", rep.bob, rep.analytic_bob))
 
     rep = run_simulation(SimConfig(s=7.0, bob_receiver=ReceiverModel("heterodyne"),
-                                   eve_strategy="phase-deferred", **base), workers=8)
+                                   eve_strategy="phase-deferred", **base))
     checks.append(("S=7 phase-deferred Eve", rep.eve, rep.analytic_eve))
 
     elapsed = time.perf_counter() - t0

@@ -235,9 +235,9 @@ class TestSimulate:
     @READS_VMHWM
     @pytest.mark.parametrize("eve", ["phase-deferred", "nearest-point"])
     def test_memory_bounded_by_chunk(self, eve):
-        """32 batches on 4 workers peak within 6 MB of one batch on one: each pool
-        thread holds one batch's offset counts and, for a nearest-point Eve, its
-        compact arrays and chunk-sized temporaries."""
+        """32 batches peak within 6 MB of one batch (--workers no longer changes the
+        run): the batches run one after another, and each holds only its cell counts
+        and, for a nearest-point Eve, its bases, bits and points."""
         def peak_rss_mb(trials, workers):
             return run_child("simulate", "--s", "7", "--m", "32", "--bob", "heterodyne",
                              "--eve", eve, "--trials", str(trials),
@@ -458,10 +458,12 @@ class TestEncryptDecrypt:
 
 
 class TestConfigFile:
-    def test_config_provides_defaults(self, tmp_path):
+    @pytest.mark.parametrize("spelling", [["--config", "{}"], ["--config={}"], ["--conf", "{}"]],
+                             ids=["space", "equals", "prefix"])
+    def test_config_provides_defaults(self, tmp_path, spelling):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text("s=2\ntrials=5000\nmaster-seed=9\n")
-        code, out = run_cli("simulate", "--config", str(cfg))
+        code, out = run_cli("simulate", *(a.format(cfg) for a in spelling))
         assert code == 0
         doc = json.loads(out)
         assert doc["config"]["s"] == 2.0
@@ -482,6 +484,18 @@ class TestConfigFile:
         assert out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: config line 3:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("problem", ["missing", "directory", "not-utf8"])
+    def test_unreadable_file_is_usage_error(self, tmp_path, capsys, problem):
+        cfg = tmp_path / "sim.cfg"
+        if problem == "directory":
+            cfg.mkdir()
+        elif problem == "not-utf8":
+            cfg.write_bytes(b"s=2\n# \xff\xfe\n")
+        code, out = run_cli("simulate", f"--config={cfg}", "--s", "1")
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "sim.cfg"
@@ -556,6 +570,17 @@ class TestImports:
         assert code == 0 and out.startswith("M,p_e\n")
         assert "alphaeta.receivers" in loaded
         assert not loaded & {"alphaeta.keyrate", "alphaeta.montecarlo"}
+
+    @READS_VMHWM
+    def test_nearest_point_simulate_starts_no_thread_pool(self):
+        probe = "print('concurrent.futures' in sys.modules)"
+        out, _ = run_child("simulate", "--s", "7", "--m", "8", "--eve", "nearest-point",
+                           "--trials", "70000", "--workers", "2", probe=probe)
+        assert out.splitlines()[-1] == "False"
+        # the check has teeth: numpy, which the run imports, does not load it either
+        out, _ = run_child("eve-nokey", "--s", "7", "--m-list", "1",
+                           probe=f"import numpy; {probe}")
+        assert out.splitlines()[-1] == "False"
 
     @pytest.mark.parametrize("argv, code, err", [
         (["--help"], 0, ""),

@@ -14,7 +14,6 @@ from alphaeta.fock import (
     phase_distribution,
     photon_window,
     pure_density,
-    wrap_angle,
 )
 
 
@@ -262,11 +261,3 @@ class TestPhaseDistribution:
     def test_rejects_small_or_odd_grid(self, resolution):
         with pytest.raises(ValueError):
             phase_distribution(1.0, resolution)
-
-
-class TestWrapAngle:
-    @given(st.floats(-50, 50))
-    def test_range_and_equivalence(self, phi):
-        w = wrap_angle(phi)
-        assert -math.pi <= w < math.pi
-        assert math.cos(w - phi) == pytest.approx(1.0, abs=1e-9)

@@ -84,7 +84,7 @@ DIGESTS = {
     "sim-heterodyne-hetdeferred-w2":
         "87e8cc9b3a6155d5b3baecfc50244c8ac3e1fe30400bc8b66300b7abf7990e6b",
     "sim-homodyne-phasedeferred-plain":
-        "9636ee0b8e3aebcea111400aec29dda69083fe592b6fabb5eb98ec549a8045be",
+        "6c01477efd2eadd2f0205d03652a27fdf84b07f38e845d815a7648419e9ae761",
     "sim-optimal":
         "eba715090ece8f1bc06ee5744c451fdd0465b44d2db993f6b0f9f67e2b6e0539",
     "sim-optimal-hetdeferred-plain":
@@ -92,9 +92,9 @@ DIGESTS = {
     "sim-phase-dsr":
         "3de61f0b73cf85672e7a9c69da840aeb668a2924137e3a3fc551ff600e81e8be",
     "sim-phase-nearest":
-        "cb02223763752343b05988fd34467deb9a75f11c42cda8f5a4f5c68141c266a4",
+        "88b3a0d459b2b01148ed86859c4537e72a5a5b83a0acae4ad2eff7be9253a57b",
     "sim-phase-nearest-plain-w2":
-        "83fe00bc9e968be28e5404b253c1f0475d169dda7018f99cb77789f7e3df93a2",
+        "109e7ed744f16ec76ab6aeae274c0ba364304be1e0f6dc32939429637ae0c899",
 }
 
 

@@ -3,12 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy import stats
 
-from alphaeta.cipher import Constellation, KeystreamGen
-from alphaeta.fock import wrap_angle
+from alphaeta.cipher import Constellation, KeystreamGen, encode
 from alphaeta.montecarlo import (
     BATCH_SIZE,
     BerEstimate,
@@ -16,6 +13,7 @@ from alphaeta.montecarlo import (
     SimConfig,
     _run_batch,
     keyed_bases,
+    nearest_point_table,
     offset_error_table,
     offset_histogram,
     run_simulation,
@@ -23,15 +21,18 @@ from alphaeta.montecarlo import (
 )
 from alphaeta.receivers import (
     BER_LAWS,
+    EVE_STRATEGIES,
     ReceiverModel,
     canonical_phase_antipodal,
+    eve_nokey_helstrom,
     helstrom_pure_antipodal,
     heterodyne_antipodal,
     homodyne_antipodal,
 )
 from keyed_reference import (
     half_planes,
-    per_trial_keyed_errors,
+    nearest_point_bits,
+    per_trial_errors,
     sample_heterodyne,
     sample_homodyne,
 )
@@ -128,7 +129,7 @@ class TestSamplers:
         draws = PhaseSampler(7.0).sample(rng, 10 ** 5)
         hist, edges = np.histogram(draws, bins=256, range=(-math.pi, math.pi))
         mode = (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1]) / 2
-        assert abs(wrap_angle(mode)) < 0.05
+        assert abs(mode) < 0.05
 
 
 class TestKeyedDecisionIdentity:
@@ -213,6 +214,40 @@ class TestKeyedDecisionIdentity:
         assert table[0] == table[m_count] == pytest.approx(
             canonical_phase_antipodal(s, 1 << 16).exact, rel=1e-4, abs=1e-15)
 
+    @pytest.mark.parametrize("s", [0.3, 7.0, 100.0])
+    @pytest.mark.parametrize("m_count", [1, 2, 32])
+    @pytest.mark.parametrize("mapping", ["alternating", "plain"])
+    def test_nearest_point_snap(self, s, m_count, mapping):
+        """Per cell (bit b, point j), the errors of snapping a sampled phase around j
+        to the nearest point and reading its bit have the table's law."""
+        sampler, const = PhaseSampler(s), Constellation(m_count, mapping)
+        rng = np.random.default_rng([17, m_count])
+        j, b = rng.integers(0, 2 * m_count, self.N), rng.integers(0, 2, self.N)
+        wrong = nearest_point_bits(sampler, np.random.default_rng(18), j, const) != b
+        self._assert_covers(nearest_point_table(sampler, const), b * 2 * m_count + j, wrong)
+
+
+class TestNearestPointTable:
+    @pytest.mark.parametrize("mapping", ["alternating", "plain"])
+    @pytest.mark.parametrize("m_count", [1, 2, 8, 32])
+    @pytest.mark.parametrize("s", [0.5, 2.0, 7.0, 30.0])
+    def test_helstrom_nokey_bounds_the_law(self, s, m_count, mapping):
+        """The Helstrom measurement is the best of all, nearest-point snapping included.
+        Without DSR each point j is sent with its own bit, j uniform."""
+        const = Constellation(m_count, mapping)
+        table = nearest_point_table(PhaseSampler(s), const)
+        j = np.arange(2 * m_count)
+        law = np.mean(table[const.point_bit(j) * 2 * m_count + j])
+        assert eve_nokey_helstrom(s, const) <= law + 1e-12
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 7.0, 30.0, 1e4])
+    def test_m1_is_the_keyed_phase_receiver(self, s):
+        """At M = 1 the two points are the keyed pair: she errs as a phase Bob does."""
+        sampler = PhaseSampler(s)
+        table = nearest_point_table(sampler, Constellation(1))
+        far = offset_error_table("phase", s, 1, sampler)[0]
+        np.testing.assert_allclose(table, [far, 1 - far, 1 - far, far], rtol=0, atol=1e-15)
+
 
 def _cfg(**kw):
     base = dict(s=7.0, m_bases=32, mapping="alternating", seed_key="deadbeef",
@@ -244,31 +279,46 @@ class TestCountLevelDecisions:
         assert cells.size == 2 * (2 * d + 1)
         assert stats.chisquare(hist[cells]).pvalue >= self.ALPHA
 
+    def _triple_rates(self, cfg, tables):
+        """Bob's and Eve's error probabilities on each of the 2M(2d+1) equally likely
+        (bit, basis, dither) triples of a trial."""
+        const, n = Constellation(cfg.m_bases, cfg.mapping), 2 * cfg.m_bases
+        b, m, dither = (g.ravel() for g in np.meshgrid(
+            [0, 1], np.arange(cfg.m_bases), np.arange(-cfg.dsr_d, cfg.dsr_d + 1), indexing="ij"))
+        j = (encode(b, m, const) + dither) % n
+        eve = EVE_STRATEGIES[cfg.eve_strategy]
+        p_eve = tables[None][b * n + j] if eve is None else tables[eve][(j - m) % n]
+        return tables["heterodyne"][(j - m) % n], p_eve
+
+    @pytest.mark.parametrize("eve", ["phase-deferred", "nearest-point"])
     @pytest.mark.parametrize("mapping", ["alternating", "plain"])
     @pytest.mark.parametrize("d", [0, 2])
-    def test_counts_match_per_trial_reference(self, mapping, d):
-        cfg = _cfg(s=1.0, m_bases=8, mapping=mapping, eve_strategy="phase-deferred",
-                   dsr_d=d, trials=self.N)
+    def test_counts_match_per_trial_reference(self, eve, mapping, d):
+        cfg = _cfg(s=1.0, m_bases=8, mapping=mapping, eve_strategy=eve, dsr_d=d, trials=self.N)
         sampler = PhaseSampler(cfg.s)
+        const = Constellation(cfg.m_bases, cfg.mapping)
         tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler)
                   for kind in ("heterodyne", "phase")}
-        const = Constellation(cfg.m_bases, cfg.mapping)
+        tables[None] = nearest_point_table(sampler, const)
         gen = KeystreamGen.from_hex(cfg.seed_key)
+        nearest = eve == "nearest-point"
         count_level, per_trial = [], []
         hist = np.zeros(2 * cfg.m_bases, dtype=np.int64)
         ref_hist = np.zeros_like(hist)
         for seed in range(self.SEEDS):
             run = replace(cfg, master_seed=seed)
-            count_level.append(_run_batch(run, const, None, tables, 0, self.N, None))
-            bob, eve, k = per_trial_keyed_errors(run, tables, 0, keyed_bases(gen, cfg.m_bases, self.N))
-            per_trial.append((bob, eve))
+            bases = keyed_bases(gen, cfg.m_bases, self.N) if nearest else None
+            count_level.append(_run_batch(run, const, tables, 0, self.N, bases))
+            # batch 1: bits and dithers independent of the count-level batch's
+            bob, eve_err, k = per_trial_errors(run, tables, 1,
+                                               keyed_bases(gen, cfg.m_bases, self.N), sampler)
+            per_trial.append((bob, eve_err))
             hist += offset_histogram(np.random.default_rng(seed), self.N, cfg.m_bases, d)
             ref_hist += np.bincount(k, minlength=2 * cfg.m_bases)
         self._assert_uniform_cells(hist, d)
         self._assert_uniform_cells(ref_hist, d)
 
-        cells = np.flatnonzero(hist)
-        p_bob, p_eve = tables["heterodyne"][cells], tables["phase"][cells]
+        p_bob, p_eve = self._triple_rates(cfg, tables)
         cov = self.N * (np.mean(p_bob * p_eve) - np.mean(p_bob) * np.mean(p_eve))
         count_level, per_trial = np.array(count_level), np.array(per_trial)
         for counts in (count_level, per_trial):
@@ -296,7 +346,7 @@ class TestCountLevelDecisions:
             all_cells = tuple(int(rng.binomial(hist, tables[kind]).sum())
                               for kind in ("heterodyne", "phase"))
             assert min(all_cells) > 0
-            assert _run_batch(cfg, const, None, tables, batch, BATCH_SIZE, None) == all_cells
+            assert _run_batch(cfg, const, tables, batch, BATCH_SIZE, None) == all_cells
 
             occupied = np.flatnonzero(hist)
             rng_all, rng_occupied = np.random.default_rng(batch), np.random.default_rng(batch)
@@ -323,7 +373,7 @@ class TestCountLevelDecisions:
 class TestRunSimulation:
     def test_heterodyne_bob_within_ci(self):
         # frozen draw; a 99% interval misses for ~1 in 100 seeds
-        rep = run_simulation(_cfg(trials=10 ** 6, master_seed=2), workers=2)
+        rep = run_simulation(_cfg(trials=10 ** 6, master_seed=2))
         assert rep.analytic_bob == heterodyne_antipodal(7.0).exact
         assert rep.bob.ci_low <= rep.analytic_bob <= rep.bob.ci_high
 
@@ -345,8 +395,7 @@ class TestRunSimulation:
     def test_physical_receivers_match_analytic(self, kind, law):
         # S chosen so expected errors >= 50
         s, trials = 2.0, 10 ** 6
-        rep = run_simulation(_cfg(s=s, bob_receiver=ReceiverModel(kind), trials=trials),
-                             workers=2)
+        rep = run_simulation(_cfg(s=s, bob_receiver=ReceiverModel(kind), trials=trials))
         assert rep.bob.ci_low <= law(s).exact <= rep.bob.ci_high
 
     @pytest.mark.parametrize("s,trials", [(1.0, 10 ** 5), (2.0, 10 ** 5), (4.0, 10 ** 6)])
@@ -373,24 +422,6 @@ class TestRunSimulation:
                                   eve_strategy="nearest-point", trials=100_000))
         assert rep.bob.errors == 0 and rep.analytic_bob < 1e-24
         assert abs(rep.eve.p_hat - 0.5) < 0.01
-
-    @pytest.mark.parametrize("eve", ["phase-deferred", "nearest-point"])
-    def test_reproducible_across_workers(self, eve):
-        cfg = _cfg(eve_strategy=eve, trials=300_000, master_seed=77)
-        reports = [run_simulation(cfg, workers=w).to_dict() for w in (1, 2, 3, 8)]
-        assert all(rep == reports[0] for rep in reports[1:])
-
-    @settings(max_examples=6, deadline=None)
-    @given(trials=st.builds(lambda b, off: b * BATCH_SIZE + off,
-                            st.integers(1, 2), st.integers(-2, 2)),  # 1 to 3 batches
-           workers=st.sampled_from([2, 3]), dsr_d=st.integers(0, 3),
-           master_seed=st.integers(0, 2 ** 64 - 1))
-    def test_batch_split_independent_of_workers(self, trials, workers, dsr_d, master_seed):
-        cfg = _cfg(s=2.0, m_bases=8, bob_receiver=ReceiverModel("phase"),
-                   eve_strategy="phase-deferred", trials=trials, master_seed=master_seed,
-                   dsr_d=dsr_d)
-        assert run_simulation(cfg, workers=workers).to_dict() == \
-            run_simulation(cfg, workers=1).to_dict()
 
     def test_different_master_seed_changes_outcomes(self):
         a = run_simulation(_cfg(s=1.0, master_seed=1))
