@@ -18,7 +18,6 @@ a numpy integer array and a plane of lanes.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from functools import lru_cache
 
@@ -57,11 +56,6 @@ class Constellation:
     @property
     def num_points(self) -> int:
         return 2 * self.m_bases
-
-    def point_phase(self, j: int) -> float:
-        if not 0 <= j < self.num_points:
-            raise ValueError(f"point index {j} out of range")
-        return math.pi * j / self.m_bases
 
     def polarity(self, basis, ones=1):
         """1 where basis m carries its bits on flipped halves (odd m under "alternating");
@@ -102,20 +96,11 @@ def encode(bit, basis, c: Constellation, ones=1):
     return basis | (bit ^ c.polarity(basis, ones)) << c.basis_bits
 
 
-def decode(j: int, basis: int, c: Constellation) -> int:
-    """Keyed inverse of encode; rejects points outside the basis pair (desync)."""
-    if not 0 <= basis < c.m_bases:
-        raise ValueError(f"basis {basis} out of range for M={c.m_bases}")
-    if j not in (basis, basis + c.m_bases):
-        raise ValueError(f"point {j} is not in the keyed pair ({basis}, {basis + c.m_bases})")
-    return decode_lenient(j, basis, c)
-
-
 def decode_lenient(j, basis, c: Constellation, ones=1):
     """Half-plane decode of any point against the keyed basis axis.
 
-    Agrees with decode() on in-pair points; for arbitrary points (e.g. a
-    wrong-key decrypt) it returns the bit of the nearer antipodal point:
+    The keyed inverse of encode() on the basis pair; for any other point (e.g.
+    a wrong-key decrypt) it returns the bit of the nearer antipodal point:
     j's half bit j_h = (j >> log2 M) & 1, flipped when j mod M < basis (the
     point lies past the axis) and by the basis polarity.  Accepts what
     encode() accepts, with points below 2M in each lane; an int point is

@@ -127,6 +127,8 @@ def cmd_eve_nokey(args) -> int:
 def cmd_simulate(args) -> int:
     if args.workers < 1:
         raise UsageError("workers must be >= 1")
+    from dataclasses import asdict  # not at the top: the parser alone does not need it
+
     from .montecarlo import SimConfig, run_simulation
     from .receivers import ReceiverModel
 
@@ -136,11 +138,9 @@ def cmd_simulate(args) -> int:
             bob_receiver=ReceiverModel(args.bob, args.resolution),
             eve_strategy=args.eve, trials=args.trials,
             master_seed=args.master_seed, dsr_d=args.dsr_d)
-        cfg.validate()
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    report = run_simulation(cfg)
-    _write_output(_to_json(report.to_dict()), args.output)
+    _write_output(_to_json(asdict(run_simulation(cfg))), args.output)
     return 0
 
 
@@ -155,15 +155,17 @@ def cmd_keyrate(args) -> int:
     for name, p in (("--p-bob", args.p_bob), ("--p-eve", args.p_eve)):
         if p is not None and not 0.0 <= p <= 1.0:
             raise UsageError(f"{name} must lie in [0, 1]")
-    if not args.line_rate > 0:
-        raise UsageError("--line-rate must be positive")
+    if not 0 < args.line_rate < math.inf:
+        raise UsageError("--line-rate must be positive and finite")
+    from dataclasses import asdict
+
     from .keyrate import key_rate, key_rate_vs_s
 
     if args.s is not None:
         report = key_rate_vs_s([args.s], args.eve, args.line_rate)[0]
     else:
         report = key_rate(args.p_bob, args.p_eve, args.line_rate)
-    doc = report.to_dict()
+    doc = asdict(report)
     doc["eve_strategy"] = args.eve
     doc["s"] = args.s
     doc["reference_rate_order"] = REFERENCE_RATE_ORDERS[args.eve]

@@ -33,15 +33,11 @@ class KeyRateReport:
     fraction: float
     rate: float
 
-    def to_dict(self) -> dict:
-        return {"p_bob": self.p_bob, "p_eve": self.p_eve, "line_rate": self.line_rate,
-                "fraction": self.fraction, "rate": self.rate}
-
 
 def key_rate(p_bob: float, p_eve: float, line_rate: float) -> KeyRateReport:
     """Distillable key bits per second at the given line rate."""
-    if line_rate <= 0:
-        raise ValueError("line rate must be positive")
+    if not 0 < line_rate < math.inf:  # also rejects NaN
+        raise ValueError("line rate must be positive and finite")
     fraction = binary_entropy(p_eve) - binary_entropy(p_bob)
     fraction = min(1.0, max(0.0, fraction))
     return KeyRateReport(p_bob, p_eve, line_rate, fraction, line_rate * fraction)

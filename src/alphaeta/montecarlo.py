@@ -59,13 +59,11 @@ class BerEstimate:
         low, high = wilson_interval(errors, trials)
         return cls(errors, trials, errors / trials, low, high)
 
-    def to_dict(self) -> dict:
-        return {"errors": self.errors, "trials": self.trials, "p_hat": self.p_hat,
-                "ci_low": self.ci_low, "ci_high": self.ci_high}
-
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One simulate run; building it, also by dataclasses.replace, checks every field."""
+
     s: float
     m_bases: int
     mapping: str = "alternating"
@@ -76,7 +74,7 @@ class SimConfig:
     master_seed: int = 0
     dsr_d: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not math.isfinite(self.s) or self.s < 0:
@@ -93,16 +91,6 @@ class SimConfig:
         Constellation(self.m_bases, self.mapping)  # raises on bad M / mapping
         KeystreamGen.from_hex(self.seed_key)  # raises on a non-hex or all-zero key
 
-    def to_dict(self) -> dict:
-        return {
-            "s": self.s, "m_bases": self.m_bases, "mapping": self.mapping,
-            "seed_key": self.seed_key,
-            "bob_receiver": {"kind": self.bob_receiver.kind,
-                             "resolution": self.bob_receiver.resolution},
-            "eve_strategy": self.eve_strategy, "trials": self.trials,
-            "master_seed": self.master_seed, "dsr_d": self.dsr_d,
-        }
-
 
 @dataclass(frozen=True)
 class TrialReport:
@@ -111,15 +99,6 @@ class TrialReport:
     eve: BerEstimate | None
     analytic_bob: float
     analytic_eve: float | None
-
-    def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "bob": self.bob.to_dict(),
-            "eve": self.eve.to_dict() if self.eve is not None else None,
-            "analytic_bob": self.analytic_bob,
-            "analytic_eve": self.analytic_eve,
-        }
 
 
 class PhaseSampler:
@@ -208,14 +187,16 @@ def dsr_offset(rng: np.random.Generator, d: int, j, m_bases: int):
 
     d must stay below M/2 so the dithered point remains inside the keyed
     half-plane and Bob's decision is unaffected.  Accepts a scalar or an
-    integer array; d = 0 returns j without drawing.
+    integer array; d = 0 returns j without drawing.  M is a power of two, so
+    the result is reduced mod 2M by mask, which is exact for negative sums too.
     """
-    if not 0 <= d < m_bases / 2:
-        raise ValueError(f"dsr offset d={d} must satisfy 0 <= d < M/2 = {m_bases / 2}")
+    if not 0 <= d < m_bases / 2 or m_bases & (m_bases - 1):
+        raise ValueError(f"dsr offset d={d} must satisfy 0 <= d < M/2 = {m_bases / 2}, "
+                         "M a power of two")
     if d == 0:
         return j
     dither = rng.integers(-d, d + 1, size=np.shape(j))
-    out = (j + dither) % (2 * m_bases)
+    out = (j + dither) & (2 * m_bases - 1)
     return int(out) if np.ndim(out) == 0 else out
 
 
@@ -277,7 +258,6 @@ def _run_batch(cfg: SimConfig, const: Constellation, tables: dict, batch: int, n
 def run_simulation(cfg: SimConfig) -> TrialReport:
     """Simulate cfg.trials symbols, batch by batch in batch order; deterministic for
     a fixed master_seed."""
-    cfg.validate()
     const = Constellation(cfg.m_bases, cfg.mapping)
 
     eve_kind = EVE_STRATEGIES.get(cfg.eve_strategy)

@@ -54,14 +54,14 @@ def run_child(*argv, probe="pass", timeout=120):
 def run_fresh(*argv, setup="main(sys.argv[1:])"):
     """Run setup (by default main(argv)) in a fresh interpreter.
 
-    Returns (exit code, stdout, stderr, loaded): loaded is the set of numpy and
-    alphaeta modules in sys.modules once setup has returned or exited.
+    Returns (exit code, stdout, stderr, loaded): loaded is the set of numpy,
+    dataclasses and alphaeta modules in sys.modules once setup has returned or exited.
     """
     code = ("import json, sys\n"
             "from alphaeta.cli import build_parser, main\n"
             f"try:\n    code = {setup}\nexcept SystemExit as exc:\n    code = exc.code\n"
-            "print(json.dumps(sorted(m for m in sys.modules\n"
-            "                        if m == 'numpy' or m.startswith('alphaeta.'))))\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m in ('numpy', 'dataclasses')\n"
+            "                        or m.startswith('alphaeta.'))))\n"
             "sys.exit(code if isinstance(code, int) else 0)")
     env = dict(os.environ, PYTHONPATH=str(Path(alphaeta.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
@@ -307,6 +307,7 @@ class TestKeyrate:
         ["--p-bob", "1.5", "--p-eve", "0.1"],
         ["--p-bob", "0.1", "--p-eve", "-0.2"],
         ["--s", "7", "--line-rate", "0"],
+        ["--s", "7", "--line-rate", "inf"],
     ])
     def test_invalid_input_is_usage_error(self, argv):
         assert run_cli("keyrate", *argv)[0] == 2
@@ -552,6 +553,7 @@ class TestImports:
         code, _, _, loaded = run_fresh(setup="build_parser()")
         assert code == 0
         assert "numpy" not in loaded and not loaded & self.ENGINES
+        assert "dataclasses" not in loaded  # only the reports need it, not the parser
 
     def test_file_cipher_loads_only_cipher(self, tmp_path):
         pt, ct = tmp_path / "pt.bin", tmp_path / "ct.bin"
@@ -602,3 +604,4 @@ class TestImports:
         assert (got, stderr) == (code, err)
         assert out.startswith("usage: alphaeta") if argv == ["--help"] else out == ""
         assert "numpy" not in loaded and not loaded & self.ENGINES
+        assert "dataclasses" not in loaded  # only the reports need it, not the parser

@@ -29,6 +29,7 @@ CASES = {
     "sim-phase-nearest-plain-w2": [*SIM, "--bob", "phase", "--eve", "nearest-point",
                                    "--mapping", "plain", "--workers", "2"],
     "sim-phase-dsr": [*SIM, "--bob", "phase", "--dsr-d", "3", "--eve", "phase-deferred"],
+    "sim-phase-nearest-dsr": [*SIM, "--bob", "phase", "--eve", "nearest-point", "--dsr-d", "3"],
     "sim-optimal-hetdeferred-plain": [*SIM, "--bob", "optimal", "--eve", "heterodyne-deferred",
                                       "--mapping", "plain"],
     "ber-table-csv": ["ber-table", "--s-min", "0", "--s-max", "8", "--steps", "5"],
@@ -93,6 +94,8 @@ DIGESTS = {
         "3de61f0b73cf85672e7a9c69da840aeb668a2924137e3a3fc551ff600e81e8be",
     "sim-phase-nearest":
         "88b3a0d459b2b01148ed86859c4537e72a5a5b83a0acae4ad2eff7be9253a57b",
+    "sim-phase-nearest-dsr":
+        "fe73439f339d858cf15be8c713981ae7670d5860f35e5278ada9882a5c078bcc",
     "sim-phase-nearest-plain-w2":
         "109e7ed744f16ec76ab6aeae274c0ba364304be1e0f6dc32939429637ae0c899",
 }

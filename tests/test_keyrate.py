@@ -56,6 +56,9 @@ class TestKeyRate:
             key_rate(-0.1, 0.2, 1e9)
         with pytest.raises(ValueError):
             key_rate(0.1, 0.2, 0.0)
+        for line_rate in (math.inf, math.nan):  # json.dumps would print Infinity / NaN
+            with pytest.raises(ValueError, match="finite"):
+                key_rate(0.1, 0.2, line_rate)
 
     @given(p=st.floats(0, 0.5), q=st.floats(0, 0.5))
     def test_monotone_in_both_arguments(self, p, q):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -357,8 +357,8 @@ class TestCountLevelDecisions:
 
     def test_seed_key_moves_only_nearest_point_counts(self):
         def report(eve, key, d):
-            rep = run_simulation(_cfg(s=1.0, m_bases=8, eve_strategy=eve, seed_key=key,
-                                      dsr_d=d, trials=70_000)).to_dict()
+            rep = asdict(run_simulation(_cfg(s=1.0, m_bases=8, eve_strategy=eve,
+                                             seed_key=key, dsr_d=d, trials=70_000)))
             assert rep["config"].pop("seed_key") == key  # validated and echoed
             return rep
 
@@ -436,14 +436,16 @@ class TestRunSimulation:
 
     def test_rejects_optimal_bob_with_dsr(self):
         with pytest.raises(ValueError, match="DSR"):
-            _cfg(bob_receiver=ReceiverModel("optimal"), dsr_d=1).validate()
+            _cfg(bob_receiver=ReceiverModel("optimal"), dsr_d=1)
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
-            _cfg(trials=0).validate()
+            _cfg(trials=0)
         with pytest.raises(ValueError):
-            _cfg(eve_strategy="guessing").validate()
+            _cfg(eve_strategy="guessing")
         with pytest.raises(ValueError):
-            _cfg(m_bases=6).validate()
+            _cfg(m_bases=6)
         with pytest.raises(ValueError):
-            _cfg(dsr_d=16).validate()
+            _cfg(dsr_d=16)
+        with pytest.raises(ValueError):  # a config is checked whenever it is built
+            replace(_cfg(), trials=0)

@@ -268,7 +268,7 @@ class TestEveNokey:
             const = Constellation(m, mapping)
             by_bit = {0: [], 1: []}
             for j in range(const.num_points):
-                rho = pure_density(fock_state(s, const.point_phase(j)))
+                rho = pure_density(fock_state(s, math.pi * j / const.m_bases))
                 by_bit[const.point_bit(j)].append((1.0 / m, rho))
             diff = mix(by_bit[0]).entries - mix(by_bit[1]).entries
             oracle = 0.5 - 0.25 * float(np.sum(np.abs(hermitian_eigenvalues(diff))))
