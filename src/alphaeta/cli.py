@@ -9,10 +9,10 @@ from names.py, so --help, a bad flag or a bad config file is answered
 without loading numpy.  Each command checks the flags it can check on its
 own, then imports its engine:
 
-    ber-table   receivers (with cipher and fock)
+    ber-table   receivers (fock and numpy only for the phase receiver)
     eve-nokey   receivers (with cipher and fock)
     simulate    montecarlo (with receivers, cipher and fock)
-    keyrate     keyrate (with receivers, cipher and fock)
+    keyrate     keyrate and receivers (fock and numpy only for phase-deferred Eve)
     encrypt     cipher (standard library only: no numpy)
     decrypt     cipher (standard library only: no numpy)
 
@@ -135,7 +135,7 @@ def cmd_simulate(args) -> int:
     try:
         cfg = SimConfig(
             s=args.s, m_bases=args.m, mapping=args.mapping, seed_key=args.seed_key,
-            bob_receiver=ReceiverModel(args.bob, args.resolution),
+            bob_receiver=ReceiverModel(args.bob),
             eve_strategy=args.eve, trials=args.trials,
             master_seed=args.master_seed, dsr_d=args.dsr_d)
     except ValueError as exc:
@@ -292,7 +292,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--mapping", choices=MAPPINGS, default="alternating")
     p.add_argument("--seed-key", default="deadbeef", help="hex seed of the keystream LFSR")
     p.add_argument("--bob", choices=RECEIVER_KINDS, default="heterodyne")
-    p.add_argument("--resolution", type=int, default=4096)
     p.add_argument("--eve", choices=(*EVE_STRATEGIES, "none"), default="none")
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--master-seed", type=int, default=0)

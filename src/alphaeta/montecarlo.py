@@ -30,6 +30,7 @@ from .fock import phase_distribution
 from .receivers import BER_LAWS, EVE_STRATEGIES, ReceiverModel
 
 BATCH_SIZE = 1 << 16
+PHASE_GRID = 1 << 16  # points of the phase density grid behind every phase table
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -104,20 +105,24 @@ class TrialReport:
 class PhaseSampler:
     """Inverse-CDF sampler for the canonical phase distribution of |sqrt S>.
 
-    The CDF is the trapezoid integral of the density on its periodic grid, so it
-    is exactly as symmetric as the density.
+    The CDF is the trapezoid integral of the density on the periodic PHASE_GRID-point
+    grid, so it is exactly as symmetric as the density.
     """
 
-    def __init__(self, s: float, resolution: int = 1 << 16):
-        density = phase_distribution(s, resolution)
-        mass = (density + np.roll(density, -1)) * (np.pi / resolution)
+    def __init__(self, s: float):
+        density = phase_distribution(s, PHASE_GRID)
+        mass = (density + np.roll(density, -1)) * (np.pi / PHASE_GRID)
         cdf = np.concatenate(([0.0], np.cumsum(mass)))
         cdf /= cdf[-1]
         self._cdf = cdf
-        self._edges = np.linspace(-np.pi, np.pi, resolution + 1)
+        self._edges = np.linspace(-np.pi, np.pi, PHASE_GRID + 1)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return np.interp(rng.random(size), self._cdf, self._edges)
+
+    def cdf(self, phi):
+        """F(phi), the mass on [-pi, phi], linear between grid nodes; phi in [-pi, pi]."""
+        return np.interp(phi, self._edges, self._cdf)
 
     def far_mass(self, delta):
         """Mass beyond the half-plane of a state at phase 0 turned by delta in [0, pi/2].
@@ -125,8 +130,7 @@ class PhaseSampler:
         The far arc is (pi/2 - delta, 3 pi/2 - delta); the density is even, so its
         mass is F(-pi/2 - delta) + F(-pi/2 + delta), with no 1 - F cancellation.
         """
-        return np.interp(-np.pi / 2 - delta, self._edges, self._cdf) + \
-            np.interp(-np.pi / 2 + delta, self._edges, self._cdf)
+        return self.cdf(-np.pi / 2 - delta) + self.cdf(-np.pi / 2 + delta)
 
 
 def offset_error_table(kind: str, s: float, m_count: int,
@@ -163,8 +167,7 @@ def nearest_point_table(sampler: PhaseSampler, const: Constellation) -> np.ndarr
     """
     n, m_count = const.num_points, const.m_bases
     # mass beyond |phi| = pi (i + 1/2) / M, i < M: 2 F(-|phi|), as the density is even
-    tails = 2 * np.interp(-np.pi * (np.arange(m_count) + 0.5) / m_count,
-                          sampler._edges, sampler._cdf)
+    tails = 2 * sampler.cdf(-np.pi * (np.arange(m_count) + 0.5) / m_count)
     side = -np.diff(tails) / 2  # the arc around +-i pi/M, 0 < i < M
     arcs = np.concatenate(([1.0 - tails[0]], side, tails[-1:], side[::-1]))
     ones = const.point_bit(np.arange(n))

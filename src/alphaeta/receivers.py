@@ -8,18 +8,23 @@ RECEIVER_KINDS, is the one table that pairs each receiver with its law;
 EVE_STRATEGIES pairs each eavesdropper strategy with a receiver kind (both
 name tables live in names.py).  Also here: the no-key Helstrom bound
 over the full constellation mixture.
+
+Only the functions whose math needs them import numpy and fock, so the
+closed-form laws, the receiver table and the signal grid load neither.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .cipher import Constellation
-from .fock import log_poisson, phase_distribution, photon_window
 from .names import EVE_STRATEGIES, RECEIVER_KINDS
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .cipher import Constellation
 
 # receiver kind -> law(s, resolution); the resolution only matters for "phase".
 # The lambdas look each law up by name at call time, so the wrappers that
@@ -32,9 +37,18 @@ BER_LAWS = {
 }
 
 
+def _check_phase_grid(resolution: int) -> None:
+    """The phase law's grid rule: nodes at +-pi/2 need resolution % 4 == 0, and
+    the trapezoid sum needs resolution >= 4096."""
+    if resolution < 4096 or resolution % 4:
+        raise ValueError(f"resolution must be >= 4096 and divisible by 4, got {resolution}")
+
+
 @dataclass(frozen=True)
 class ReceiverModel:
-    """Tagged receiver choice; resolution only matters for the phase kind."""
+    """Tagged receiver choice.  The resolution is the phase law's grid; only the
+    phase kind reads it, but every kind checks it, so no receiver carries a grid
+    that the phase law would reject."""
 
     kind: str
     resolution: int = 4096
@@ -42,8 +56,7 @@ class ReceiverModel:
     def __post_init__(self):
         if self.kind not in RECEIVER_KINDS:
             raise ValueError(f"unknown receiver kind {self.kind!r}")
-        if self.kind == "phase" and (self.resolution < 4096 or self.resolution % 4):
-            raise ValueError("phase receiver needs a resolution >= 4096 divisible by 4")
+        _check_phase_grid(self.resolution)
 
     def law(self, s: float) -> BerLaw:
         return BER_LAWS[self.kind](s, self.resolution)
@@ -85,8 +98,11 @@ def canonical_phase_antipodal(s: float, resolution: int = 4096) -> BerLaw:
     Exact value is the trapezoid integral of the phase density of |sqrt(S)>
     over |phi| > pi/2; the grid places nodes exactly at +-pi/2.
     """
-    if resolution < 4096 or resolution % 4 != 0:
-        raise ValueError("resolution must be >= 4096 and divisible by 4")
+    import numpy as np
+
+    from .fock import phase_distribution
+
+    _check_phase_grid(resolution)
     dens = phase_distribution(s, resolution)
     quarter = resolution // 4
     # region [pi/2, 3pi/2] wrapped through +-pi; endpoints at half weight
@@ -108,6 +124,10 @@ def _circulant_gram_spectrum(s: float, n_points: int) -> np.ndarray:
     folded mass to its exact total of 1 keeps that from reaching p_e (4e-12
     at S=1e4 without it).
     """
+    import numpy as np
+
+    from .fock import log_poisson, photon_window
+
     photons = photon_window(s)
     poisson = np.exp([log_poisson(s, n) for n in photons.tolist()])
     folded = np.bincount(photons % n_points, weights=poisson, minlength=n_points)
@@ -137,6 +157,8 @@ def eve_nokey_helstrom(s: float, constellation: Constellation) -> float:
     25 sqrt(S) of them, so the cost grows like (sqrt S)^3 and stops growing
     with M once M exceeds about 13 sqrt(S).
     """
+    import numpy as np
+
     if not math.isfinite(s) or s < 0:
         raise ValueError("signal photon number must be finite and >= 0")
     n = constellation.num_points
@@ -158,6 +180,8 @@ def eve_nokey_helstrom(s: float, constellation: Constellation) -> float:
 
 def exponent_fit(points: list[tuple[float, float]]) -> float:
     """Least-squares slope of ln(P_e) against S."""
+    import numpy as np
+
     if len(points) < 4:
         raise ValueError("exponent fit needs at least 4 points")
     s_vals = np.array([p[0] for p in points], dtype=float)
@@ -171,6 +195,13 @@ def exponent_fit(points: list[tuple[float, float]]) -> float:
 
 
 def signal_grid(s_min: float, s_max: float, steps: int) -> list[float]:
-    """steps evenly spaced signal levels from s_min to s_max; one level when they are equal."""
-    grid = np.linspace(s_min, s_max, steps)
-    return (grid[:1] if s_min == s_max else grid).tolist()
+    """steps >= 2 evenly spaced signal levels from s_min to s_max; one level when they
+    are equal.
+
+    The levels are i * step + s_min with the last set to s_max, the values
+    np.linspace gives, without loading numpy.
+    """
+    if s_min == s_max:
+        return [float(s_min)]
+    step = (s_max - s_min) / (steps - 1)
+    return [i * step + s_min for i in range(steps - 1)] + [float(s_max)]

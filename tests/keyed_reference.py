@@ -46,7 +46,7 @@ def half_planes(sampler, m_count: int) -> tuple[np.ndarray, np.ndarray]:
     phi = F^-1(u) plus pi k/M is within pi/2 of the axis iff (u - lo[k]) mod 1 <= width[k]."""
     def cdf(x):  # periodic extension, F(x + 2 pi) = F(x) + 1
         turns = np.floor((x + np.pi) / (2 * np.pi))
-        return turns + np.interp(x - 2 * np.pi * turns, sampler._edges, sampler._cdf)
+        return turns + sampler.cdf(x - 2 * np.pi * turns)
 
     start = -np.pi / 2 - np.pi * np.arange(2 * m_count) / m_count
     lo = cdf(start)

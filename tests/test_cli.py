@@ -121,8 +121,10 @@ class TestBerTable:
         assert all(0.0 <= float(r[1]) < 1e-24 for r in rows)  # the ~2e-32 FFT floor
 
     @pytest.mark.parametrize("argv", [["--s-min", "nan"], ["--s-max", "inf"],
-                                      ["--resolution", "4097"], ["--receivers", ","]],
-                             ids=["s-min-nan", "s-max-inf", "resolution-4097", "no-receivers"])
+                                      ["--resolution", "4097"], ["--receivers", ","],
+                                      ["--receivers", "heterodyne", "--resolution", "-5"]],
+                             ids=["s-min-nan", "s-max-inf", "resolution-4097", "no-receivers",
+                                  "heterodyne-resolution-minus-5"])
     def test_bad_flag_is_usage_error(self, argv):
         assert run_cli("ber-table", *argv)[0] == 2
 
@@ -266,6 +268,15 @@ class TestSimulate:
     def test_dsr_violation_is_usage_error(self):
         code, _ = run_cli("simulate", "--s", "1", "--m", "8", "--dsr-d", "4")
         assert code == 2
+
+    def test_resolution_is_not_a_flag(self):
+        """simulate reads every phase value from the fixed PhaseSampler grid, so it
+        offers no grid to set; its report echoes the scalar law's 4096."""
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--s", "1", "--trials", "10", "--resolution", "4096"])
+        assert exc.value.code == 2
+        _, out = run_cli("simulate", "--s", "1", "--trials", "10", "--bob", "phase")
+        assert json.loads(out)["config"]["bob_receiver"] == {"kind": "phase", "resolution": 4096}
 
     @pytest.mark.parametrize("key", ["0", "zz"])
     def test_bad_seed_key_is_usage_error(self, key, capsys):
@@ -498,11 +509,14 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
 
-    def test_unknown_key_rejected(self, tmp_path):
+    @pytest.mark.parametrize("key", ["warp-factor=9", "resolution=4096"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
         cfg = tmp_path / "sim.cfg"
-        cfg.write_text("warp-factor=9\n")
+        cfg.write_text(f"{key}\n")
         code, _ = run_cli("simulate", "--config", str(cfg), "--s", "1")
         assert code == 2
+        name = key.partition("=")[0]
+        assert capsys.readouterr().err == f"error: config line 1: unknown key {name!r}\n"
 
 
 def test_flag_choices_match_the_registry():
@@ -572,6 +586,18 @@ class TestImports:
         assert code == 0 and out.startswith("M,p_e\n")
         assert "alphaeta.receivers" in loaded
         assert not loaded & {"alphaeta.keyrate", "alphaeta.montecarlo"}
+
+    @pytest.mark.parametrize("argv, numerics", [
+        (["keyrate", "--s", "7", "--eve", "heterodyne-deferred"], False),
+        (["ber-table", "--receivers", "optimal,homodyne,heterodyne"], False),
+        (["keyrate", "--s", "7", "--eve", "phase-deferred"], True),  # the check has teeth
+    ], ids=["keyrate-heterodyne-deferred", "ber-table-closed-forms", "keyrate-phase-deferred"])
+    def test_only_the_phase_law_loads_numpy(self, argv, numerics):
+        code, out, _, loaded = run_fresh(*argv)
+        assert code == 0 and out
+        assert "alphaeta.receivers" in loaded
+        expected = {"numpy", "alphaeta.fock"} if numerics else set()
+        assert loaded & {"numpy", "alphaeta.fock"} == expected
 
     @READS_VMHWM
     def test_nearest_point_simulate_starts_no_thread_pool(self):

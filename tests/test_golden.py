@@ -36,6 +36,8 @@ CASES = {
     "ber-table-json": ["ber-table", "--s-min", "0.5", "--s-max", "3", "--steps", "3",
                        "--receivers", "phase,heterodyne", "--resolution", "8192",
                        "--format", "json"],
+    "ber-table-closed-forms": ["ber-table", "--receivers", "optimal,homodyne,heterodyne",
+                               "--s-min", "0", "--s-max", "10", "--steps", "201"],
     "keyrate-s": ["keyrate", "--s", "3", "--eve", "phase-deferred"],
     "keyrate-s-het": ["keyrate", "--s", "3", "--eve", "heterodyne-deferred"],
     "keyrate-p": ["keyrate", "--p-bob", "0.01", "--p-eve", "0.2", "--line-rate", "1e6"],
@@ -48,6 +50,8 @@ CIPHERS = [(32, "alternating"), (4, "plain"), (32768, "alternating")]
 PLAINTEXT = np.random.default_rng(2024).bytes(2048)
 
 DIGESTS = {
+    "ber-table-closed-forms":
+        "150e2118ed97b9a2a7bc832f7b4b83fc9ffe4289f34525d854ae7ff94dd015ed",
     "ber-table-csv":
         "ebb54b7a26b665c1e9670ef47f678e2ff6e12c94c34550b4d45f46c3ce6c11b7",
     "ber-table-json":

@@ -19,6 +19,7 @@ from alphaeta.receivers import (
     helstrom_pure_antipodal,
     heterodyne_antipodal,
     homodyne_antipodal,
+    signal_grid,
 )
 
 
@@ -384,6 +385,27 @@ def test_receiver_model_validation():
         ReceiverModel("phase", 1024)
     with pytest.raises(ValueError):
         ReceiverModel("phase", 4097)
+    # the grid rule holds for every kind, not only the one that reads the grid
+    for kind in ("optimal", "homodyne", "heterodyne"):
+        assert ReceiverModel(kind).resolution == 4096
+        with pytest.raises(ValueError):
+            ReceiverModel(kind, -5)
+
+
+def test_signal_grid_is_linspace():
+    """The numpy-free grid gives np.linspace's values bit for bit: those of the
+    ber-table goldens and the benchmark's 0..10 in 201 steps, and random ranges."""
+    rng = np.random.default_rng(7)
+    grids = [(0.0, 10.0, 201), (0.0, 8.0, 5), (0.5, 3.0, 3), (0.0, 10.0, 21), (3.0, 3.0, 4)]
+    for _ in range(2000):
+        s_min = float(rng.choice([0.0, rng.uniform(0, 10), 10 ** rng.uniform(-5, 5)]))
+        s_max = s_min + float(rng.choice([0.0, rng.uniform(0, 10), 10 ** rng.uniform(-8, 6)]))
+        grids.append((s_min, s_max, int(rng.integers(2, 500))))
+    for s_min, s_max, steps in grids:
+        reference = np.linspace(s_min, s_max, steps)
+        if s_min == s_max:
+            reference = reference[:1]
+        assert signal_grid(s_min, s_max, steps) == reference.tolist(), (s_min, s_max, steps)
 
 
 class TestRegistry:
