@@ -86,13 +86,16 @@ def _emit_table(args, header: list[str], rows: list[list]) -> None:
 def cmd_ber_table(args) -> int:
     from .receivers import ReceiverModel, signal_grid
 
+    kinds = [r.strip() for r in args.receivers.split(",") if r.strip()]
     try:
-        receivers = [ReceiverModel(r.strip(), args.resolution)
-                     for r in args.receivers.split(",") if r.strip()]
+        receivers = [ReceiverModel(kind) for kind in kinds]
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if not receivers:
         raise UsageError(f"receivers must be a comma list from {RECEIVER_KINDS}")
+    for i, kind in enumerate(kinds):
+        if kind in kinds[:i]:  # a JSON record would keep only one of its columns
+            raise UsageError(f"--receivers lists {kind!r} more than once")
     if not 0 <= args.s_min <= args.s_max < math.inf or args.steps < 2:
         raise UsageError("need finite 0 <= s-min <= s-max and steps >= 2")
     header = ["S"]
@@ -277,7 +280,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--s-max", type=float, default=10.0)
     p.add_argument("--steps", type=int, default=21)
     p.add_argument("--receivers", default="optimal,phase,homodyne,heterodyne")
-    p.add_argument("--resolution", type=int, default=4096)
     _add_output_flags(p)
 
     p = add("eve-nokey", cmd_eve_nokey, help="no-key Helstrom bound over basis counts")
@@ -296,7 +298,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--master-seed", type=int, default=0)
     p.add_argument("--dsr-d", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted and checked to be >= 1; has no effect")
     _add_output_flags(p, formats=None)
 
     p = add("keyrate", cmd_keyrate, help="key generation rate (JSON report)")

@@ -149,7 +149,7 @@ def offset_error_table(kind: str, s: float, m_count: int,
         per_angle = sampler.far_mass(delta)
     else:
         law = BER_LAWS[kind]
-        per_angle = np.array([law(s * math.cos(x) ** 2, None).exact for x in delta.tolist()])
+        per_angle = np.array([law(s * math.cos(x) ** 2).exact for x in delta.tolist()])
     steps = np.arange(2 * m_count) % m_count
     return per_angle[np.minimum(steps, m_count - steps)]
 

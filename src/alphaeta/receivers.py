@@ -16,7 +16,7 @@ closed-form laws, the receiver table and the signal grid load neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .names import EVE_STRATEGIES, RECEIVER_KINDS
@@ -26,40 +26,35 @@ if TYPE_CHECKING:
 
     from .cipher import Constellation
 
-# receiver kind -> law(s, resolution); the resolution only matters for "phase".
-# The lambdas look each law up by name at call time, so the wrappers that
-# perfbench/tracer.py installs on the module attributes see every call.
+# The phase law's FFT grid.  It must be divisible by 4: that puts nodes on
+# +-pi/2 and gives the far arc an even number of intervals for Simpson's rule.
+PHASE_LAW_GRID = 4096
+
+# receiver kind -> law(s).  The lambdas look each law up by name at call time,
+# so the wrappers that perfbench/tracer.py installs on the module attributes
+# see every call.
 BER_LAWS = {
-    "optimal": lambda s, resolution: helstrom_pure_antipodal(s),
-    "phase": lambda s, resolution: canonical_phase_antipodal(s, resolution),
-    "homodyne": lambda s, resolution: homodyne_antipodal(s),
-    "heterodyne": lambda s, resolution: heterodyne_antipodal(s),
+    "optimal": lambda s: helstrom_pure_antipodal(s),
+    "phase": lambda s: canonical_phase_antipodal(s),
+    "homodyne": lambda s: homodyne_antipodal(s),
+    "heterodyne": lambda s: heterodyne_antipodal(s),
 }
-
-
-def _check_phase_grid(resolution: int) -> None:
-    """The phase law's grid rule: nodes at +-pi/2 need resolution % 4 == 0, and
-    the trapezoid sum needs resolution >= 4096."""
-    if resolution < 4096 or resolution % 4:
-        raise ValueError(f"resolution must be >= 4096 and divisible by 4, got {resolution}")
 
 
 @dataclass(frozen=True)
 class ReceiverModel:
-    """Tagged receiver choice.  The resolution is the phase law's grid; only the
-    phase kind reads it, but every kind checks it, so no receiver carries a grid
-    that the phase law would reject."""
+    """Tagged receiver choice.  `resolution` is not a setting: it records the
+    phase law's fixed grid, which the trial report's schema requires."""
 
     kind: str
-    resolution: int = 4096
+    resolution: int = field(default=PHASE_LAW_GRID, init=False)
 
     def __post_init__(self):
         if self.kind not in RECEIVER_KINDS:
             raise ValueError(f"unknown receiver kind {self.kind!r}")
-        _check_phase_grid(self.resolution)
 
     def law(self, s: float) -> BerLaw:
-        return BER_LAWS[self.kind](s, self.resolution)
+        return BER_LAWS[self.kind](s)
 
 
 @dataclass(frozen=True)
@@ -92,22 +87,23 @@ def homodyne_antipodal(s: float) -> BerLaw:
     return BerLaw(0.5 * math.erfc(math.sqrt(2.0 * s)), math.exp(-2.0 * s))
 
 
-def canonical_phase_antipodal(s: float, resolution: int = 4096) -> BerLaw:
+def canonical_phase_antipodal(s: float) -> BerLaw:
     """Canonical phase measurement with the half-plane decision rule.
 
-    Exact value is the trapezoid integral of the phase density of |sqrt(S)>
-    over |phi| > pi/2; the grid places nodes exactly at +-pi/2.
+    Exact value is Simpson's rule, weights (1, 4, 2, ..., 4, 1) h/3, over the
+    phase density of |sqrt(S)> on the far arc [pi/2, 3pi/2] of the
+    PHASE_LAW_GRID-point grid: (4 T_4096 - T_2048) / 3 of the trapezoid sums.
     """
     import numpy as np
 
     from .fock import phase_distribution
 
-    _check_phase_grid(resolution)
-    dens = phase_distribution(s, resolution)
-    quarter = resolution // 4
-    # region [pi/2, 3pi/2] wrapped through +-pi; endpoints at half weight
-    inner = float(np.sum(dens[3 * quarter + 1:]) + np.sum(dens[:quarter]))
-    exact = 2.0 * np.pi / resolution * (inner + 0.5 * (dens[quarter] + dens[3 * quarter]))
+    dens = phase_distribution(s, PHASE_LAW_GRID)
+    quarter = PHASE_LAW_GRID // 4
+    # the far arc wrapped through +-pi: phi = pi/2, ..., -pi, ..., -pi/2
+    arc = np.concatenate((dens[3 * quarter:], dens[:quarter + 1]))
+    weighted = arc[0] + arc[-1] + 4.0 * np.sum(arc[1:-1:2]) + 2.0 * np.sum(arc[2:-1:2])
+    exact = 2.0 * np.pi / PHASE_LAW_GRID / 3.0 * float(weighted)
     return BerLaw(exact, math.exp(-2.0 * s))
 
 

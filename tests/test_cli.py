@@ -121,12 +121,17 @@ class TestBerTable:
         assert all(0.0 <= float(r[1]) < 1e-24 for r in rows)  # the ~2e-32 FFT floor
 
     @pytest.mark.parametrize("argv", [["--s-min", "nan"], ["--s-max", "inf"],
-                                      ["--resolution", "4097"], ["--receivers", ","],
-                                      ["--receivers", "heterodyne", "--resolution", "-5"]],
-                             ids=["s-min-nan", "s-max-inf", "resolution-4097", "no-receivers",
-                                  "heterodyne-resolution-minus-5"])
+                                      ["--receivers", ","],
+                                      ["--receivers", "optimal,phase, phase"]],
+                             ids=["s-min-nan", "s-max-inf", "no-receivers", "repeated-receiver"])
     def test_bad_flag_is_usage_error(self, argv):
         assert run_cli("ber-table", *argv)[0] == 2
+
+    def test_repeated_receiver_is_named(self, capsys):
+        # JSON records are dicts, so a repeated kind would keep one set of columns
+        code, out = run_cli("ber-table", "--receivers", "phase,phase", "--format", "json")
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == "error: --receivers lists 'phase' more than once\n"
 
 
 class TestEveNokey:
@@ -269,12 +274,17 @@ class TestSimulate:
         code, _ = run_cli("simulate", "--s", "1", "--m", "8", "--dsr-d", "4")
         assert code == 2
 
-    def test_resolution_is_not_a_flag(self):
-        """simulate reads every phase value from the fixed PhaseSampler grid, so it
-        offers no grid to set; its report echoes the scalar law's 4096."""
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--s", "1", "--trials", "10", "--resolution", "4096"])
-        assert exc.value.code == 2
+    @pytest.mark.parametrize("argv", [["simulate", "--s", "1", "--trials", "10"],
+                                      ["ber-table", "--receivers", "phase"]],
+                             ids=["simulate", "ber-table"])
+    def test_resolution_is_not_a_flag(self, argv):
+        """Every phase value comes from a fixed grid (simulate's PhaseSampler table,
+        the scalar law's 4096 points), so no command offers a grid to set; the
+        simulate report echoes the scalar law's 4096."""
+        for resolution in ("4096", "8192"):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--resolution", resolution])
+            assert exc.value.code == 2
         _, out = run_cli("simulate", "--s", "1", "--trials", "10", "--bob", "phase")
         assert json.loads(out)["config"]["bob_receiver"] == {"kind": "phase", "resolution": 4096}
 
@@ -509,11 +519,13 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["simulate", "--s", "1"], ["ber-table"]],
+                             ids=["simulate", "ber-table"])
     @pytest.mark.parametrize("key", ["warp-factor=9", "resolution=4096"])
-    def test_unknown_key_rejected(self, tmp_path, capsys, key):
+    def test_unknown_key_rejected(self, tmp_path, capsys, key, argv):
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"{key}\n")
-        code, _ = run_cli("simulate", "--config", str(cfg), "--s", "1")
+        code, _ = run_cli(argv[0], "--config", str(cfg), *argv[1:])
         assert code == 2
         name = key.partition("=")[0]
         assert capsys.readouterr().err == f"error: config line 1: unknown key {name!r}\n"

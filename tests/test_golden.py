@@ -34,8 +34,7 @@ CASES = {
                                       "--mapping", "plain"],
     "ber-table-csv": ["ber-table", "--s-min", "0", "--s-max", "8", "--steps", "5"],
     "ber-table-json": ["ber-table", "--s-min", "0.5", "--s-max", "3", "--steps", "3",
-                       "--receivers", "phase,heterodyne", "--resolution", "8192",
-                       "--format", "json"],
+                       "--receivers", "phase,heterodyne", "--format", "json"],
     "ber-table-closed-forms": ["ber-table", "--receivers", "optimal,homodyne,heterodyne",
                                "--s-min", "0", "--s-max", "10", "--steps", "201"],
     "keyrate-s": ["keyrate", "--s", "3", "--eve", "phase-deferred"],
@@ -53,9 +52,9 @@ DIGESTS = {
     "ber-table-closed-forms":
         "150e2118ed97b9a2a7bc832f7b4b83fc9ffe4289f34525d854ae7ff94dd015ed",
     "ber-table-csv":
-        "ebb54b7a26b665c1e9670ef47f678e2ff6e12c94c34550b4d45f46c3ce6c11b7",
+        "60d3efc4303f0681011a619a68aaeac258c4b65223fb2c291aacd58fc848a59c",
     "ber-table-json":
-        "20ea087798f53eecacdaa9072bcd08089105ea322230e94ea75777fd25a9c384",
+        "90435fbfac1a900b93eee901095fa4a3cf69731532504ee0f02be9c2071c593f",
     "decrypt-m32-alternating":
         "0e779645a0ed84119935dcb3a273fd0b5472dc94739393c26f332fb609423cd0",
     "decrypt-m32768-alternating":
@@ -81,7 +80,7 @@ DIGESTS = {
     "keyrate-p":
         "098eb2bfeb3187647102b72e48929b49da902d739fd48654b2dc6c688bccbe7f",
     "keyrate-s":
-        "39f58dee85bf17278a6f745c15432161ab9c0f026a448cf88b5e11f739044a0c",
+        "293b5bc9cf0cfef6b6d6f7385b63194cabad329679afce4f96e735c6c52bcf77",
     "keyrate-s-het":
         "366a53b759f9ccda65f6576824d1d90b57338cec71a5d556ad8fd975ccec9fb3",
     "sim-heterodyne-hetdeferred":

@@ -121,7 +121,7 @@ class TestSamplers:
         n, s = 10 ** 7, 7.0
         draws = PhaseSampler(s).sample(rng, n)
         p_hat = np.count_nonzero(np.abs(draws) > math.pi / 2) / n
-        p = canonical_phase_antipodal(s, 16384).exact
+        p = canonical_phase_antipodal(s).exact
         assert abs(p_hat - p) < 4 * math.sqrt(p * (1 - p) / n)
 
     def test_phase_mode_at_zero(self):
@@ -196,9 +196,9 @@ class TestKeyedDecisionIdentity:
         law = BER_LAWS[kind]
         for k in range(2 * m_count):
             steps = min(k % m_count, m_count - k % m_count)  # to the axis line
-            assert table[k] == law(s * math.cos(math.pi * steps / m_count) ** 2, None).exact
+            assert table[k] == law(s * math.cos(math.pi * steps / m_count) ** 2).exact
             assert table[k] == pytest.approx(
-                law(s * math.cos(math.pi * k / m_count) ** 2, None).exact, rel=1e-12)
+                law(s * math.cos(math.pi * k / m_count) ** 2).exact, rel=1e-12)
         assert table[0] == table[m_count] == ReceiverModel(kind).law(s).exact
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 7.0, 100.0, 1000.0])
@@ -212,7 +212,7 @@ class TestKeyedDecisionIdentity:
         far_mass = np.where(cos < 0, width, 1.0 - width)
         np.testing.assert_allclose(table[sided], far_mass[sided], rtol=0, atol=1e-13)
         assert table[0] == table[m_count] == pytest.approx(
-            canonical_phase_antipodal(s, 1 << 16).exact, rel=1e-4, abs=1e-15)
+            canonical_phase_antipodal(s).exact, rel=1e-4, abs=1e-15)
 
     @pytest.mark.parametrize("s", [0.3, 7.0, 100.0])
     @pytest.mark.parametrize("m_count", [1, 2, 32])

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import mpmath as mp
@@ -5,11 +6,18 @@ import numpy as np
 import pytest
 
 from alphaeta.cipher import Constellation
-from alphaeta.fock import coherent_amplitudes, hermitian_eigenvalues, mix, pure_density
+from alphaeta.fock import (
+    coherent_amplitudes,
+    hermitian_eigenvalues,
+    mix,
+    phase_distribution,
+    pure_density,
+)
 from alphaeta.keyrate import key_rate_vs_s
 from alphaeta.receivers import (
     BER_LAWS,
     EVE_STRATEGIES,
+    PHASE_LAW_GRID,
     RECEIVER_KINDS,
     ReceiverModel,
     _circulant_gram_spectrum,
@@ -92,19 +100,27 @@ class TestCanonicalPhase:
     def test_s7_asymptotic(self):
         assert canonical_phase_antipodal(7.0).asymptotic == pytest.approx(math.exp(-14), rel=1e-12)
 
-    def test_s7_two_resolution_agreement(self):
-        a = canonical_phase_antipodal(7.0, 4096).exact
-        b = canonical_phase_antipodal(7.0, 16384).exact
-        assert a == pytest.approx(b, rel=1e-3)
-        # frozen from the self-validating quadrature (and an independent
-        # high-precision quadrature of the same density)
-        assert b == pytest.approx(2.1462450919e-05, rel=1e-6)
+    def test_takes_only_the_signal(self):
+        # the grid is fixed: no caller can pick one the Simpson weights do not fit
+        assert list(inspect.signature(canonical_phase_antipodal).parameters) == ["s"]
+        assert PHASE_LAW_GRID % 4 == 0
 
-    def test_rejects_small_resolution(self):
-        with pytest.raises(ValueError):
-            canonical_phase_antipodal(1.0, 2048)
+    @pytest.mark.parametrize("s", [0.5, 2.0, 7.0, 20.0])
+    def test_is_richardson_of_two_trapezoid_sums(self, s):
+        # Simpson's rule on the far arc is (4 T_R - T_{R/2}) / 3, the trapezoid
+        # sums taken on every node and on every other node of the same grid
+        dens = phase_distribution(s, PHASE_LAW_GRID)
+        quarter = PHASE_LAW_GRID // 4
+        arc = np.concatenate((dens[3 * quarter:], dens[:quarter + 1]))
+        h = 2 * math.pi / PHASE_LAW_GRID
 
-    @pytest.mark.parametrize("s", [2.0, 7.0, 10.0])
+        def trapezoid(nodes, step):
+            return step * (math.fsum(nodes) - (nodes[0] + nodes[-1]) / 2)
+
+        oracle = (4 * trapezoid(arc, h) - trapezoid(arc[::2], 2 * h)) / 3
+        assert canonical_phase_antipodal(s).exact == pytest.approx(oracle, rel=1e-14)
+
+    @pytest.mark.parametrize("s", [0.5, 2.0, 7.0, 10.0, 20.0])
     def test_matches_mpmath_double_sum(self, s):
         # P(|phi| > pi/2) for the density |sum_n c_n e^{i n phi}|^2 / 2pi:
         # 1/2 - (1/pi) sum_{n != m} c_n c_m sin((m - n) pi/2) / (m - n),
@@ -116,9 +132,9 @@ class TestCanonicalPhase:
             cross = mp.fsum(c[n] * c[m] * mp.sin((m - n) * mp.pi / 2) / (m - n)
                             for n in range(n_max) for m in range(n_max) if m != n)
             oracle = float(mp.mpf(1) / 2 - cross / mp.pi)
-        assert canonical_phase_antipodal(s).exact == pytest.approx(oracle, rel=1e-6)
-        if s == 7.0:
-            assert oracle == pytest.approx(2.146245e-5, rel=1e-6)
+        assert canonical_phase_antipodal(s).exact == pytest.approx(oracle, rel=1e-10)
+        if s == 7.0:  # the 140-digit value
+            assert oracle == pytest.approx(2.1462450480e-5, rel=1e-10)
 
 
 def mpmath_grid_phase_ber(s, resolution, n_max=200):
@@ -147,17 +163,21 @@ def mpmath_grid_phase_ber(s, resolution, n_max=200):
         return total / (2 * mp.pi)
 
 
-@pytest.mark.parametrize("s, resolution, golden", [
-    (4.0, 4096, 8.65939343173588e-4),
-    (6.0, 4096, 7.141409325932641e-5),
-    (8.0, 4096, 6.601044210286162e-6),
-    (1.75, 8192, 0.01813396112461287),
+@pytest.mark.parametrize("s, golden", [
+    (0.5, 0.13012709382366322),
+    (1.75, 0.01813395823760777),
+    (2.0, 0.01268050061136084),
+    (3.0, 0.003209567204256635),
+    (4.0, 0.0008659387830626066),
+    (6.0, 7.141406208225571e-05),
+    (8.0, 6.6010426836341345e-06),
 ])
-def test_golden_phase_values_match_40_digit_grid_sum(s, resolution, golden):
-    # the canonical-phase values pinned by the ber-table-csv and ber-table-json digests
-    exact = canonical_phase_antipodal(s, resolution).exact
+def test_golden_phase_values_match_40_digit_grid_sum(s, golden):
+    # the canonical-phase values pinned by the ber-table-csv, ber-table-json and
+    # keyrate-s digests; Simpson's rule is (4 T_4096 - T_2048) / 3
+    exact = canonical_phase_antipodal(s).exact
     assert exact == golden
-    oracle = mpmath_grid_phase_ber(s, resolution)
+    oracle = (4 * mpmath_grid_phase_ber(s, 4096) - mpmath_grid_phase_ber(s, 2048)) / 3
     assert abs(exact - oracle) <= 5e-15 * oracle
 
 
@@ -378,18 +398,13 @@ class TestHierarchy:
 
 
 def test_receiver_model_validation():
-    assert ReceiverModel("phase").resolution == 4096
     with pytest.raises(ValueError):
         ReceiverModel("lidar")
-    with pytest.raises(ValueError):
-        ReceiverModel("phase", 1024)
-    with pytest.raises(ValueError):
-        ReceiverModel("phase", 4097)
-    # the grid rule holds for every kind, not only the one that reads the grid
-    for kind in ("optimal", "homodyne", "heterodyne"):
-        assert ReceiverModel(kind).resolution == 4096
-        with pytest.raises(ValueError):
-            ReceiverModel(kind, -5)
+    # every kind records the phase law's fixed grid, and none can set another
+    for kind in RECEIVER_KINDS:
+        assert ReceiverModel(kind).resolution == PHASE_LAW_GRID == 4096
+        with pytest.raises(TypeError):
+            ReceiverModel(kind, 8192)
 
 
 def test_signal_grid_is_linspace():
@@ -416,7 +431,6 @@ class TestRegistry:
         for kind, law in direct.items():
             for s in (0.0, 0.7, 7.0):
                 assert ReceiverModel(kind).law(s) == law(s)
-        assert ReceiverModel("phase", 8192).law(2.0) == canonical_phase_antipodal(2.0, 8192)
 
     def test_eve_strategies_map_to_receiver_kinds(self):
         assert EVE_STRATEGIES == {"phase-deferred": "phase",
