@@ -63,7 +63,33 @@ def phase_distribution(s: float, resolution: int) -> np.ndarray:
     photons, coeffs = coherent_amplitudes(s)
     folded = np.bincount(photons % resolution, weights=coeffs * (-1.0) ** photons,
                          minlength=resolution)
-    return np.abs(np.fft.fft(folded)) ** 2 / (2.0 * np.pi)
+    dens = np.abs(np.fft.fft(folded), out=folded)  # in place: the only fresh array is the FFT's
+    dens **= 2
+    dens /= 2.0 * np.pi
+    return dens
+
+
+def phase_cdf(s: float, grid: int) -> np.ndarray:
+    """F(phi_{2j}), j = 0 .. grid/2: the phase distribution function of |sqrt S> at
+    the even nodes phi_{2j} = -pi + 4 pi j / grid of the grid-point density.
+
+    F is composite Simpson's rule, weights (1, 4, 1) h/3 on each two-interval
+    panel, the rule canonical_phase_antipodal sums over its far arc, scaled so
+    that F(pi) = 1.  The density is periodic, so the last panel closes on
+    phi_0.
+    """
+    dens = phase_distribution(s, grid)
+    panels = dens[1::2] * 4.0  # one fresh array; the panel sums are added in place
+    panels += dens[0::2]
+    panels[:-1] += dens[2::2]
+    panels[-1] += dens[0]
+    del dens
+    panels *= 2.0 * np.pi / grid / 3.0  # h / 3; the vacuum's panels are then exactly 2 / grid
+    cdf = np.empty(grid // 2 + 1)
+    cdf[0] = 0.0
+    np.cumsum(panels, out=cdf[1:])
+    cdf /= cdf[-1]
+    return cdf
 
 
 @dataclass(frozen=True)

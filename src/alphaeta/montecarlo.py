@@ -6,6 +6,8 @@ each receiver with one kernel: given the histogram of the batch's trials over
 the cells, its errors are one binomial draw per occupied cell, which is exact in
 distribution.  A keyed receiver's cell is the sent point's offset k from the
 basis axis.  Keyless nearest-point Eve's cell is the sent bit and point (b, j).
+Every phase table is read from one PhaseSampler, the Simpson CDF of the phase
+density on a grid sized from S and M by phase_grid; no caller picks a grid.
 
 k = (bit ^ polarity(m)) * M + dither is uniform over its cells whatever the
 basis m, so the keystream is drawn only for a nearest-point Eve, whose cells
@@ -26,11 +28,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cipher import Constellation, KeystreamGen, encode
-from .fock import phase_distribution
-from .receivers import BER_LAWS, EVE_STRATEGIES, ReceiverModel
+from .fock import phase_cdf
+from .receivers import BER_LAWS, EVE_STRATEGIES, PHASE_LAW_GRID, ReceiverModel
 
 BATCH_SIZE = 1 << 16
-PHASE_GRID = 1 << 16  # points of the phase density grid behind every phase table
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 
@@ -102,20 +103,30 @@ class TrialReport:
     analytic_eve: float | None
 
 
-class PhaseSampler:
-    """Inverse-CDF sampler for the canonical phase distribution of |sqrt S>.
+def phase_grid(s: float, m_bases: int) -> int:
+    """Points of the phase density grid behind the phase tables at S and M: the
+    smallest power of two >= max(PHASE_LAW_GRID, 8M, 128 sqrt(S)).
 
-    The CDF is the trapezoid integral of the density on the periodic PHASE_GRID-point
-    grid, so it is exactly as symmetric as the density.
+    With 8M | grid every arc edge the tables read, a multiple of pi/2M, is an
+    even node of the grid, where the Simpson CDF is exact; with 128 sqrt(S) the
+    node spacing stays under about 1/10 of the phase width 1/(2 sqrt S).
+    """
+    need = max(PHASE_LAW_GRID, 8 * m_bases, math.ceil(128.0 * math.sqrt(s)))
+    return 1 << (need - 1).bit_length()
+
+
+class PhaseSampler:
+    """Inverse-CDF sampler for the canonical phase distribution of |sqrt S>, on the
+    phase_grid(S, M) grid.
+
+    The CDF is fock.phase_cdf, Simpson's rule at the grid's even nodes, linear
+    between them.
     """
 
-    def __init__(self, s: float):
-        density = phase_distribution(s, PHASE_GRID)
-        mass = (density + np.roll(density, -1)) * (np.pi / PHASE_GRID)
-        cdf = np.concatenate(([0.0], np.cumsum(mass)))
-        cdf /= cdf[-1]
-        self._cdf = cdf
-        self._edges = np.linspace(-np.pi, np.pi, PHASE_GRID + 1)
+    def __init__(self, s: float, m_bases: int):
+        grid = phase_grid(s, m_bases)
+        self._cdf = phase_cdf(s, grid)
+        self._edges = np.linspace(-np.pi, np.pi, grid // 2 + 1)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return np.interp(rng.random(size), self._cdf, self._edges)
@@ -266,11 +277,11 @@ def run_simulation(cfg: SimConfig) -> TrialReport:
     eve_kind = EVE_STRATEGIES.get(cfg.eve_strategy)
     keyed = {cfg.bob_receiver.kind, eve_kind} - {None}
     nearest = cfg.eve_strategy != "none" and eve_kind is None
-    sampler = PhaseSampler(cfg.s) if nearest or "phase" in keyed else None
+    sampler = PhaseSampler(cfg.s, cfg.m_bases) if nearest or "phase" in keyed else None
     tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler) for kind in keyed}
     if nearest:
         tables[None] = nearest_point_table(sampler, const)  # None: keyless Eve's table
-    del sampler  # the batches do not read it; freeing it first lowers the peak RSS ~1.7 MB
+    del sampler  # the batches do not read it; its CDF and edges need not outlive the tables
     gen = KeystreamGen.from_hex(cfg.seed_key) if nearest else None
 
     bob_err = eve_err = 0

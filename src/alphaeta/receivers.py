@@ -152,6 +152,10 @@ def eve_nokey_helstrom(s: float, constellation: Constellation) -> float:
     with lambda_q > 1e-32 (at most 1e-32 of Poisson mass is dropped), about
     25 sqrt(S) of them, so the cost grows like (sqrt S)^3 and stops growing
     with M once M exceeds about 13 sqrt(S).
+
+    An eavesdropper without the key can do no better than one who knows the
+    basis, so p_e is floored at the keyed Helstrom bound, which is also the
+    exact value at M = 1; below ~1e-16 the sum above is only rounding of 1/2.
     """
     import numpy as np
 
@@ -171,7 +175,7 @@ def eve_nokey_helstrom(s: float, constellation: Constellation) -> float:
     block *= np.sqrt(lam[even])[:, None]
     block *= np.sqrt(lam[odd])
     p_e = 0.5 - 0.5 * float(np.sum(np.linalg.svd(block, compute_uv=False)))
-    return min(max(p_e, 0.0), 0.5)
+    return min(max(p_e, helstrom_pure_antipodal(s).exact), 0.5)
 
 
 def exponent_fit(points: list[tuple[float, float]]) -> float:

@@ -278,9 +278,10 @@ class TestSimulate:
                                       ["ber-table", "--receivers", "phase"]],
                              ids=["simulate", "ber-table"])
     def test_resolution_is_not_a_flag(self, argv):
-        """Every phase value comes from a fixed grid (simulate's PhaseSampler table,
-        the scalar law's 4096 points), so no command offers a grid to set; the
-        simulate report echoes the scalar law's 4096."""
+        """Every phase value comes from a grid no caller picks (simulate's
+        PhaseSampler table, sized from S and M by phase_grid, and the scalar law's
+        fixed 4096 points), so no command offers one to set; the simulate report
+        echoes the scalar law's 4096."""
         for resolution in ("4096", "8192"):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--resolution", resolution])

@@ -11,6 +11,7 @@ from alphaeta.fock import (
     hermitian_eigenvalues,
     log_poisson,
     mix,
+    phase_cdf,
     phase_distribution,
     photon_window,
     pure_density,
@@ -261,3 +262,25 @@ class TestPhaseDistribution:
     def test_rejects_small_or_odd_grid(self, resolution):
         with pytest.raises(ValueError):
             phase_distribution(1.0, resolution)
+
+
+class TestPhaseCdf:
+    @pytest.mark.parametrize("grid", [4096, 65536])
+    def test_vacuum_is_linear(self, grid):
+        # every Simpson panel of the uniform density is exactly 2 / grid
+        assert np.array_equal(phase_cdf(0.0, grid), np.arange(grid // 2 + 1) / (grid // 2))
+
+    @pytest.mark.parametrize("s", [0.5, 7.0, 1e4])
+    def test_is_the_simpson_sum_of_the_density(self, s):
+        grid = 4096
+        dens = phase_distribution(s, grid)
+        cdf = phase_cdf(s, grid)
+        assert cdf[0] == 0.0 and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
+        # F at phi = 0 (node grid/2): Simpson's rule over [-pi, 0], over the whole
+        # circle (where the amplitudes' rounding leaves 1 + 8e-12 at S = 1e4)
+        left = dens[:grid // 2 + 1]
+        half = left[0] + left[-1] + 4 * math.fsum(left[1:-1:2]) + 2 * math.fsum(left[2:-1:2])
+        circle = 4 * math.fsum(dens[1::2]) + 2 * math.fsum(dens[::2])
+        assert cdf[grid // 4] == pytest.approx(half / circle, rel=1e-14)
+        # the density is even: F(-phi) = 1 - F(phi) up to rounding
+        np.testing.assert_allclose(cdf + cdf[::-1], 1.0, rtol=0, atol=1e-14)

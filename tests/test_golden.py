@@ -74,7 +74,7 @@ DIGESTS = {
     "encrypt-m4-plain":
         "dc3aaf61a9d5725747388d714ff109107e1249e722430cd1f02ec9732a9110cb",
     "eve-nokey-csv":
-        "120e3287b8147079aa98974204c934b97a602a7d2cc0b041a31457929735022b",
+        "89b13255f8277df339219697387bab1692a00d5439d860a535c9f8e799895f3b",
     "eve-nokey-plain":
         "d831de3b7975647b08645a3d74e957a9eae11f802fd7afd74b9ce33da8255a7e",
     "keyrate-p":
@@ -88,19 +88,30 @@ DIGESTS = {
     "sim-heterodyne-hetdeferred-w2":
         "87e8cc9b3a6155d5b3baecfc50244c8ac3e1fe30400bc8b66300b7abf7990e6b",
     "sim-homodyne-phasedeferred-plain":
-        "6c01477efd2eadd2f0205d03652a27fdf84b07f38e845d815a7648419e9ae761",
+        "c8f40960415158fa4c30ab64b3225c8762878a9cf18a5ce18099843d72011ee2",
     "sim-optimal":
         "eba715090ece8f1bc06ee5744c451fdd0465b44d2db993f6b0f9f67e2b6e0539",
     "sim-optimal-hetdeferred-plain":
         "609dce8b715f0bb984945795a465bc7a75f4025ed1bd22c97d30020cc4cce566",
     "sim-phase-dsr":
-        "3de61f0b73cf85672e7a9c69da840aeb668a2924137e3a3fc551ff600e81e8be",
+        "f28c34506343ace5a8f6b0f61fc80a6b31374568d098a060b23c4bce124c8596",
     "sim-phase-nearest":
-        "88b3a0d459b2b01148ed86859c4537e72a5a5b83a0acae4ad2eff7be9253a57b",
+        "e34d5212de666fe5c7579e7aa46027a840eedc81fa2797a3a635811c8208f8cf",
     "sim-phase-nearest-dsr":
-        "fe73439f339d858cf15be8c713981ae7670d5860f35e5278ada9882a5c078bcc",
+        "1e9d092f246386a7ae2efe8b39eb68df9d2a9450a381070c9ba8a3c4ec508f77",
     "sim-phase-nearest-plain-w2":
-        "109e7ed744f16ec76ab6aeae274c0ba364304be1e0f6dc32939429637ae0c899",
+        "46388e1f893495abc054da0bc349ac44c7c968bebae37dc4bd17cff09375d356",
+}
+
+# name -> (bob errors, eve errors) of the simulate cases that read a phase table,
+# pinned apart from their digests: a re-recorded digest (the tables' last digits,
+# which analytic_bob and analytic_eve report) must not hide a change in the draws
+PHASE_TABLE_COUNTS = {
+    "sim-homodyne-phasedeferred-plain": (166, 891),
+    "sim-phase-dsr": (1185, 1180),
+    "sim-phase-nearest": (925, 34315),
+    "sim-phase-nearest-dsr": (1179, 34490),
+    "sim-phase-nearest-plain-w2": (925, 7689),
 }
 
 
@@ -143,6 +154,12 @@ def test_simulate_estimates_cover_analytic_law(tmp_path, name):
             continue
         low, high = wilson_interval(doc[who]["errors"], doc[who]["trials"], 5.0)
         assert low <= doc[f"analytic_{who}"] <= high, who
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_TABLE_COUNTS))
+def test_phase_table_cases_keep_their_error_counts(tmp_path, name):
+    doc = json.loads(run_to_file(CASES[name], tmp_path / "out"))
+    assert (doc["bob"]["errors"], doc["eve"]["errors"]) == PHASE_TABLE_COUNTS[name]
 
 
 @pytest.mark.parametrize("m,mapping", CIPHERS)

@@ -1,11 +1,13 @@
 import math
 from dataclasses import asdict, replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import stats
 
 from alphaeta.cipher import Constellation, KeystreamGen, encode
+from alphaeta.fock import phase_cdf
 from alphaeta.montecarlo import (
     BATCH_SIZE,
     BerEstimate,
@@ -16,6 +18,7 @@ from alphaeta.montecarlo import (
     nearest_point_table,
     offset_error_table,
     offset_histogram,
+    phase_grid,
     run_simulation,
     wilson_interval,
 )
@@ -112,21 +115,21 @@ class TestSamplers:
 
     def test_phase_vacuum_uniform_ks(self):
         rng = np.random.default_rng(7)
-        draws = PhaseSampler(0.0).sample(rng, 10 ** 5)
+        draws = PhaseSampler(0.0, 1).sample(rng, 10 ** 5)
         res = stats.kstest(draws, stats.uniform(loc=-math.pi, scale=2 * math.pi).cdf)
         assert res.pvalue > 0.01
 
     def test_phase_half_plane_error_rate(self):
         rng = np.random.default_rng(8)
         n, s = 10 ** 7, 7.0
-        draws = PhaseSampler(s).sample(rng, n)
+        draws = PhaseSampler(s, 1).sample(rng, n)
         p_hat = np.count_nonzero(np.abs(draws) > math.pi / 2) / n
         p = canonical_phase_antipodal(s).exact
         assert abs(p_hat - p) < 4 * math.sqrt(p * (1 - p) / n)
 
     def test_phase_mode_at_zero(self):
         rng = np.random.default_rng(9)
-        draws = PhaseSampler(7.0).sample(rng, 10 ** 5)
+        draws = PhaseSampler(7.0, 1).sample(rng, 10 ** 5)
         hist, edges = np.histogram(draws, bins=256, range=(-math.pi, math.pi))
         mode = (edges[np.argmax(hist)] + edges[np.argmax(hist) + 1]) / 2
         assert abs(mode) < 0.05
@@ -181,7 +184,7 @@ class TestKeyedDecisionIdentity:
     @pytest.mark.parametrize("s", [0.3, 7.0, 100.0])
     @pytest.mark.parametrize("m_count,d", [(1, 0), (2, 0), (32, 0), (32, 1), (32, 15)])
     def test_phase_cdf_interval(self, s, m_count, d):
-        sampler = PhaseSampler(s)
+        sampler = PhaseSampler(s, m_count)
         j, m, k, sent_far = self._trials(m_count, d, 13)
         phi = sampler.sample(np.random.default_rng(14), self.N) + np.pi * j / m_count
         far = np.cos(phi - np.pi * m / m_count) < 0
@@ -204,7 +207,7 @@ class TestKeyedDecisionIdentity:
     @pytest.mark.parametrize("s", [0.0, 0.3, 7.0, 100.0, 1000.0])
     @pytest.mark.parametrize("m_count", [1, 2, 32, 4096])
     def test_phase_table_is_far_half_plane_cdf_mass(self, s, m_count):
-        sampler = PhaseSampler(s)
+        sampler = PhaseSampler(s, m_count)
         table = offset_error_table("phase", s, m_count, sampler)
         lo, width = half_planes(sampler, m_count)  # near side: (u - lo) mod 1 <= width
         cos = np.cos(np.pi * np.arange(2 * m_count) / m_count)
@@ -220,7 +223,7 @@ class TestKeyedDecisionIdentity:
     def test_nearest_point_snap(self, s, m_count, mapping):
         """Per cell (bit b, point j), the errors of snapping a sampled phase around j
         to the nearest point and reading its bit have the table's law."""
-        sampler, const = PhaseSampler(s), Constellation(m_count, mapping)
+        sampler, const = PhaseSampler(s, m_count), Constellation(m_count, mapping)
         rng = np.random.default_rng([17, m_count])
         j, b = rng.integers(0, 2 * m_count, self.N), rng.integers(0, 2, self.N)
         wrong = nearest_point_bits(sampler, np.random.default_rng(18), j, const) != b
@@ -235,7 +238,7 @@ class TestNearestPointTable:
         """The Helstrom measurement is the best of all, nearest-point snapping included.
         Without DSR each point j is sent with its own bit, j uniform."""
         const = Constellation(m_count, mapping)
-        table = nearest_point_table(PhaseSampler(s), const)
+        table = nearest_point_table(PhaseSampler(s, m_count), const)
         j = np.arange(2 * m_count)
         law = np.mean(table[const.point_bit(j) * 2 * m_count + j])
         assert eve_nokey_helstrom(s, const) <= law + 1e-12
@@ -243,10 +246,110 @@ class TestNearestPointTable:
     @pytest.mark.parametrize("s", [0.0, 0.5, 7.0, 30.0, 1e4])
     def test_m1_is_the_keyed_phase_receiver(self, s):
         """At M = 1 the two points are the keyed pair: she errs as a phase Bob does."""
-        sampler = PhaseSampler(s)
+        sampler = PhaseSampler(s, 1)
         table = nearest_point_table(sampler, Constellation(1))
         far = offset_error_table("phase", s, 1, sampler)[0]
         np.testing.assert_allclose(table, [far, 1 - far, 1 - far, far], rtol=0, atol=1e-15)
+
+
+def mpmath_arc_masses(s, arcs):
+    """40-digit mass of the phase density of |sqrt S> on each arc (a pi, b pi), a < b.
+
+    The mass is the double sum (1/2pi) sum_{n,m} c_n c_m int e^{i(n-m)phi} dphi,
+    each integral in closed form: (b - a) pi at n = m, and the pair n, m = n + k
+    gives 2 (sin k b pi - sin k a pi) / k.  c_n is cut where the Poisson tail is
+    below 1e-40.
+    """
+    with mp.workdps(40):
+        n_max = int(s + 20 * math.sqrt(s) + 30)
+        c = [mp.exp((n * mp.log(s) - s - mp.loggamma(n + 1)) / 2) for n in range(n_max)]
+        lag = [mp.fsum(c[n] * c[n + k] for n in range(n_max - k)) for k in range(n_max)]
+
+        def mass(a, b):
+            a, b = a * mp.pi, b * mp.pi
+            cross = mp.fsum(lag[k] * (mp.sin(k * b) - mp.sin(k * a)) / k
+                            for k in range(1, n_max))
+            return ((b - a) * lag[0] + 2 * cross) / (2 * mp.pi)
+
+        return [mass(a, b) for a, b in arcs]
+
+
+class FineGridCdf:
+    """The phase CDF of fock.phase_cdf on a 2^21-point grid, read as PhaseSampler
+    reads its own: a reference for the tables at large S and M."""
+
+    far_mass = PhaseSampler.far_mass
+
+    def __init__(self, s: float):
+        grid = 1 << 21
+        self._cdf = phase_cdf(s, grid)
+        self._edges = np.linspace(-np.pi, np.pi, grid // 2 + 1)
+
+    def cdf(self, phi):
+        return np.interp(phi, self._edges, self._cdf)
+
+
+class TestPhaseTables:
+    @pytest.mark.parametrize("s", [0.0, 0.5, 7.0, 1e3, 1e4, 1e5])
+    def test_phase_grid_rule(self, s):
+        for m_count in (1 << e for e in range(17)):
+            grid = phase_grid(s, m_count)
+            assert grid & (grid - 1) == 0 and grid % (8 * m_count) == 0
+            assert grid >= 128 * math.sqrt(s) and grid >= 4096
+            if m_count <= 8192:
+                assert grid <= 65536
+        assert phase_grid(2.6e5, 8192) == 65536
+
+    def test_phase_grid_values(self):
+        assert phase_grid(7.0, 32) == 4096
+        assert phase_grid(1e4, 4096) == 32768
+        assert phase_grid(1e5, 4096) == 65536
+        assert phase_grid(1e5, 1 << 14) == 131072
+        assert phase_grid(2.7e5, 1) == 131072
+
+    @pytest.mark.parametrize("s", [0.0, 0.5, 2.0, 3.0, 7.0, 8.0])
+    @pytest.mark.parametrize("m_count", [1, 32, 512])
+    def test_axis_entry_is_the_scalar_law(self, s, m_count):
+        """Up to S = 1024 and M = 512 the tables and the scalar law share the
+        4096-point grid and Simpson's rule: they differ only in summation order."""
+        table = offset_error_table("phase", s, m_count, PhaseSampler(s, m_count))
+        assert table[0] == pytest.approx(canonical_phase_antipodal(s).exact,
+                                         rel=5e-15, abs=3e-16)
+
+    @pytest.mark.parametrize("s", [2.0, 7.0])
+    @pytest.mark.parametrize("mapping", ["alternating", "plain"])
+    def test_tables_match_mpmath_double_sum(self, s, mapping):
+        m_count = 32
+        sampler, const = PhaseSampler(s, m_count), Constellation(m_count, mapping)
+        # keyed: the far arc of a state turned by pi i/M, i <= M/2
+        far = mpmath_arc_masses(s, [((m_count / 2 - i) / m_count, (1.5 * m_count - i) / m_count)
+                                    for i in range(m_count // 2 + 1)])
+        steps = np.arange(2 * m_count) % m_count
+        oracle = np.array([float(x) for x in far])[np.minimum(steps, m_count - steps)]
+        np.testing.assert_allclose(offset_error_table("phase", s, m_count, sampler), oracle,
+                                   rtol=0, atol=1e-10)
+        # nearest-point: the pi/M arcs around the 2M points
+        n = const.num_points
+        arcs = mpmath_arc_masses(s, [((2 * i - 1) / (2 * m_count), (2 * i + 1) / (2 * m_count))
+                                     for i in range(n)])
+        bit = const.point_bit(np.arange(n)).tolist()
+        q = [float(mp.fsum(arcs[i] * bit[(j + i) % n] for i in range(n))) for j in range(n)]
+        np.testing.assert_allclose(nearest_point_table(sampler, const),
+                                   q + [1.0 - x for x in q], rtol=0, atol=1e-10)
+
+    @pytest.fixture(scope="class")
+    def fine_1e4(self):
+        return FineGridCdf(1e4)
+
+    @pytest.mark.parametrize("m_count", [512, 4096])
+    def test_deployed_regime_matches_fine_grid(self, fine_1e4, m_count):
+        s, const = 1e4, Constellation(m_count)
+        sampler = PhaseSampler(s, m_count)
+        np.testing.assert_allclose(offset_error_table("phase", s, m_count, sampler),
+                                   offset_error_table("phase", s, m_count, fine_1e4),
+                                   rtol=0, atol=1e-6)
+        np.testing.assert_allclose(nearest_point_table(sampler, const),
+                                   nearest_point_table(fine_1e4, const), rtol=0, atol=1e-6)
 
 
 def _cfg(**kw):
@@ -295,7 +398,7 @@ class TestCountLevelDecisions:
     @pytest.mark.parametrize("d", [0, 2])
     def test_counts_match_per_trial_reference(self, eve, mapping, d):
         cfg = _cfg(s=1.0, m_bases=8, mapping=mapping, eve_strategy=eve, dsr_d=d, trials=self.N)
-        sampler = PhaseSampler(cfg.s)
+        sampler = PhaseSampler(cfg.s, cfg.m_bases)
         const = Constellation(cfg.m_bases, cfg.mapping)
         tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler)
                   for kind in ("heterodyne", "phase")}
@@ -336,7 +439,7 @@ class TestCountLevelDecisions:
         """At M = 2^15 a batch draws its binomials on the occupied offset cells only;
         its counts, and the stream after each draw, are those of a draw over all 2M."""
         cfg = _cfg(s=3.0, m_bases=1 << 15, eve_strategy="phase-deferred", dsr_d=d)
-        sampler = PhaseSampler(cfg.s)
+        sampler = PhaseSampler(cfg.s, cfg.m_bases)
         tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler)
                   for kind in ("heterodyne", "phase")}
         const = Constellation(cfg.m_bases, cfg.mapping)

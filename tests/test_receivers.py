@@ -300,6 +300,14 @@ class TestEveNokey:
         p = eve_nokey_helstrom(s, Constellation(1))
         assert p == pytest.approx(helstrom_pure_antipodal(s).exact, abs=1e-12)
 
+    @pytest.mark.parametrize("mapping", ["alternating", "plain"])
+    @pytest.mark.parametrize("m", [1, 2, 4, 64])
+    @pytest.mark.parametrize("s", [0.5, 7.0, 30.0, 100.0, 1e4])
+    def test_never_below_keyed_helstrom_bound(self, s, m, mapping):
+        # an eavesdropper without the key can never beat one who knows the basis
+        p = eve_nokey_helstrom(s, Constellation(m, mapping))
+        assert p >= helstrom_pure_antipodal(s).exact
+
     def test_large_s_beyond_fock_range(self):
         # S=1e4 underflows e^{-S/2}; the Gram spectrum needs no Fock cutoff
         p64, p256 = (eve_nokey_helstrom(1e4, Constellation(m)) for m in (64, 256))
