@@ -18,6 +18,7 @@ a numpy integer array and a plane of lanes.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from functools import lru_cache
 
@@ -113,17 +114,6 @@ def decode_lenient(j, basis, c: Constellation, ones=1):
     return ((j ^ ahead) >> k ^ ones ^ c.polarity(basis, ones)) & ones
 
 
-def _lfsr_fill_py(state, tap_shifts, top, out):
-    """Bit-serial reference: emit the LSB, feed the tap parity back at the top."""
-    for i in range(len(out)):
-        out[i] = state & 1
-        fb = 0
-        for s in tap_shifts:
-            fb ^= (state >> s) & 1
-        state = (state >> 1) | (fb << top)
-    return state
-
-
 class KeystreamGen:
     """Fibonacci LFSR producing the running key from the seed key.
 
@@ -146,9 +136,8 @@ class KeystreamGen:
         taps = tuple(sorted(set(int(t) for t in taps), reverse=True))
         if not taps or taps[0] != degree or taps[-1] < 1:
             raise ValueError("taps must be distinct positions in 1..degree including degree")
-        register &= (1 << degree) - 1
-        if register == 0:
-            raise ValueError("LFSR register must not be all-zero")
+        if not 0 < register < 1 << degree:
+            raise ValueError(f"LFSR register must be nonzero and below 2^{degree}")
         self.taps = taps
         self.degree = degree
         self._lags = [degree - t + 1 for t in taps]
@@ -162,17 +151,16 @@ class KeystreamGen:
         self._size = size
         self._blocks = deque(blocks, maxlen=degree)  # blocks _next-d .. _next-1
         self._next = degree  # number of the next block to compute
-        self._pos = 0  # index of the next output bit; the register is o[pos..pos+d-1]
+        self._pos = 0  # index of the next output bit
 
     @classmethod
     def from_hex(cls, seed_key: str, taps: tuple[int, ...] = DEFAULT_TAPS,
                  degree: int = DEFAULT_DEGREE) -> "KeystreamGen":
-        """Big-endian hexadecimal fill of the register."""
-        try:
-            value = int(seed_key, 16)
-        except ValueError:
-            raise ValueError(f"seed key {seed_key!r} is not valid hexadecimal") from None
-        return cls(value, taps, degree)
+        """Big-endian hexadecimal fill of the register: hex digits only, no sign, prefix,
+        underscore or space, with a value in 1..2^degree - 1."""
+        if not re.fullmatch("[0-9a-fA-F]+", seed_key):
+            raise ValueError(f"seed key {seed_key!r} is not a string of hex digits")
+        return cls(int(seed_key, 16), taps, degree)
 
     def _next_block(self, blocks) -> int:
         new = 0
@@ -180,38 +168,25 @@ class KeystreamGen:
             new ^= blocks[-lag]
         return new
 
-    def _held(self, first: int, stop: int) -> list[int]:
-        """Blocks first..stop-1, all within the history."""
-        base = self._next - self.degree
-        return [self._blocks[b - base] for b in range(first, stop)]
-
-    @property
-    def register(self) -> int:
-        size, pos = self._size, self._pos
-        first = pos // size
-        word = 0
-        for i, block in enumerate(self._held(first, (pos + self.degree - 1) // size + 1)):
-            word |= block << (i * size)
-        return (word >> (pos - first * size)) & ((1 << self.degree) - 1)
-
     def bits(self, n: int) -> bytes:
         """Next n keystream bits packed little-endian, the first in bit 0 of byte 0 and
         any bits past n zero; advances the state.
 
-        Blocks are computed through the one holding the register after the
-        call, o[pos+n+d-1], so the register can always be read from the history.
+        Blocks are computed only through the one holding the last bit handed
+        out, o[pos+n-1]; the first block a call reads is never older than the
+        last d, so it is still in the history.
         """
         if n < 0:
             raise ValueError("bit count must be >= 0")
         size, pos = self._size, self._pos
         end = pos + n
         first, stop = pos // size, (end - 1) // size + 1 if n else pos // size
-        out = self._held(first, min(stop, self._next))
-        while self._next <= (end + self.degree - 1) // size:
+        base = self._next - self.degree  # number of the oldest block held
+        out = [self._blocks[b - base] for b in range(first, min(stop, self._next))]
+        while self._next < stop:
             block = self._next_block(self._blocks)
             self._blocks.append(block)
-            if self._next < stop:
-                out.append(block)
+            out.append(block)
             self._next += 1
         self._pos = end
         head = pos - first * size

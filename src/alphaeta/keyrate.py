@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .names import EVE_STRATEGIES, KEYRATE_EVE_STRATEGIES
-from .receivers import ReceiverModel, helstrom_pure_antipodal
+from .receivers import BER_LAWS, helstrom_pure_antipodal
 
 
 def binary_entropy(p: float) -> float:
@@ -43,15 +43,10 @@ def key_rate(p_bob: float, p_eve: float, line_rate: float) -> KeyRateReport:
     return KeyRateReport(p_bob, p_eve, line_rate, fraction, line_rate * fraction)
 
 
-def key_rate_vs_s(s_values: list[float], eve_strategy: str,
-                  line_rate: float) -> list[KeyRateReport]:
-    """Rate sweep with Bob at the optimum keyed receiver and Eve deferring her decision."""
+def key_rate_at_s(s: float, eve_strategy: str, line_rate: float) -> KeyRateReport:
+    """Key rate at signal level s, with Bob at the optimum keyed receiver and Eve
+    deferring her decision."""
     if eve_strategy not in KEYRATE_EVE_STRATEGIES:
         raise ValueError(f"{eve_strategy!r} is not a deferred eve strategy")
-    eve = ReceiverModel(EVE_STRATEGIES[eve_strategy])
-    reports = []
-    for s in s_values:
-        if s < 0:
-            raise ValueError("S must be >= 0")
-        reports.append(key_rate(helstrom_pure_antipodal(s).exact, eve.law(s).exact, line_rate))
-    return reports
+    eve_law = BER_LAWS[EVE_STRATEGIES[eve_strategy]]
+    return key_rate(helstrom_pure_antipodal(s).exact, eve_law(s).exact, line_rate)

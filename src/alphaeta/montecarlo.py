@@ -23,7 +23,7 @@ memory is bounded by the batch size, not the trial count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,7 @@ class SimConfig:
     m_bases: int
     mapping: str = "alternating"
     seed_key: str = "deadbeef"
-    bob_receiver: ReceiverModel = field(default_factory=lambda: ReceiverModel("heterodyne"))
+    bob_receiver: ReceiverModel = ReceiverModel("heterodyne")
     eve_strategy: str = "none"
     trials: int = 100_000
     master_seed: int = 0
@@ -91,7 +91,7 @@ class SimConfig:
             raise ValueError("analytic-flip Bob cannot be combined with DSR "
                              "(the flip probability is no longer valid)")
         Constellation(self.m_bases, self.mapping)  # raises on bad M / mapping
-        KeystreamGen.from_hex(self.seed_key)  # raises on a non-hex or all-zero key
+        KeystreamGen.from_hex(self.seed_key)  # raises on a bad seed key
 
 
 @dataclass(frozen=True)
@@ -196,24 +196,6 @@ def offset_histogram(rng: np.random.Generator, n: int, m_count: int, d: int) -> 
     return hist
 
 
-def dsr_offset(rng: np.random.Generator, d: int, j, m_bases: int):
-    """Deliberate state randomization: dither each point j by a uniform offset in [-d, d].
-
-    d must stay below M/2 so the dithered point remains inside the keyed
-    half-plane and Bob's decision is unaffected.  Accepts a scalar or an
-    integer array; d = 0 returns j without drawing.  M is a power of two, so
-    the result is reduced mod 2M by mask, which is exact for negative sums too.
-    """
-    if not 0 <= d < m_bases / 2 or m_bases & (m_bases - 1):
-        raise ValueError(f"dsr offset d={d} must satisfy 0 <= d < M/2 = {m_bases / 2}, "
-                         "M a power of two")
-    if d == 0:
-        return j
-    dither = rng.integers(-d, d + 1, size=np.shape(j))
-    out = (j + dither) & (2 * m_bases - 1)
-    return int(out) if np.ndim(out) == 0 else out
-
-
 def keyed_bases(gen: KeystreamGen, m_bases: int, count: int) -> np.ndarray:
     """Next count basis indices, each log2(M) keystream bits read big-endian; as
     uint16 up to M = 2^16 (faster than int64), so callers promote before arithmetic."""
@@ -227,8 +209,6 @@ def keyed_bases(gen: KeystreamGen, m_bases: int, count: int) -> np.ndarray:
         out <<= 1
         out |= bits[:, col]
     return out
-
-
 
 
 def _run_batch(cfg: SimConfig, const: Constellation, tables: dict, batch: int, n: int,
@@ -247,8 +227,10 @@ def _run_batch(cfg: SimConfig, const: Constellation, tables: dict, batch: int, n
         hist = eve_hist = offset_histogram(rng, n, m_count, cfg.dsr_d)
     else:
         bits = rng.integers(0, 2, size=n)
-        j = dsr_offset(rng, cfg.dsr_d, encode(bits, m, const), m_count)
+        j = encode(bits, m, const)
         # mod 2M by mask, as 2M is a power of 2: an int64 % costs ~1 ms a batch
+        if cfg.dsr_d:  # deliberate state randomization: a uniform dither in [-d, d]
+            j = (j + rng.integers(-cfg.dsr_d, cfg.dsr_d + 1, size=n)) & (2 * m_count - 1)
         hist = np.bincount((j - m) & (2 * m_count - 1), minlength=2 * m_count)
         eve_hist = np.bincount(bits * (2 * m_count) + j, minlength=4 * m_count)
 

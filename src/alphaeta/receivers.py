@@ -9,8 +9,9 @@ EVE_STRATEGIES pairs each eavesdropper strategy with a receiver kind (both
 name tables live in names.py).  Also here: the no-key Helstrom bound
 over the full constellation mixture.
 
-Only the functions whose math needs them import numpy and fock, so the
-closed-form laws, the receiver table and the signal grid load neither.
+Only the phase law and the no-key bound, whose math needs them, import
+numpy and fock, so the closed-form laws, the receiver table and the signal
+grid load neither.
 """
 
 from __future__ import annotations
@@ -52,9 +53,6 @@ class ReceiverModel:
     def __post_init__(self):
         if self.kind not in RECEIVER_KINDS:
             raise ValueError(f"unknown receiver kind {self.kind!r}")
-
-    def law(self, s: float) -> BerLaw:
-        return BER_LAWS[self.kind](s)
 
 
 @dataclass(frozen=True)
@@ -176,22 +174,6 @@ def eve_nokey_helstrom(s: float, constellation: Constellation) -> float:
     block *= np.sqrt(lam[odd])
     p_e = 0.5 - 0.5 * float(np.sum(np.linalg.svd(block, compute_uv=False)))
     return min(max(p_e, helstrom_pure_antipodal(s).exact), 0.5)
-
-
-def exponent_fit(points: list[tuple[float, float]]) -> float:
-    """Least-squares slope of ln(P_e) against S."""
-    import numpy as np
-
-    if len(points) < 4:
-        raise ValueError("exponent fit needs at least 4 points")
-    s_vals = np.array([p[0] for p in points], dtype=float)
-    p_vals = np.array([p[1] for p in points], dtype=float)
-    if np.any(p_vals <= 0):
-        raise ValueError("all error probabilities must be positive")
-    if np.any(np.diff(s_vals) <= 0):
-        raise ValueError("S values must be strictly increasing")
-    slope, _ = np.polyfit(s_vals, np.log(p_vals), 1)
-    return float(slope)
 
 
 def signal_grid(s_min: float, s_max: float, steps: int) -> list[float]:

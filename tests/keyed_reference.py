@@ -19,7 +19,6 @@ import math
 import numpy as np
 
 from alphaeta.cipher import Constellation, encode
-from alphaeta.montecarlo import dsr_offset
 from alphaeta.receivers import EVE_STRATEGIES
 
 
@@ -68,15 +67,17 @@ def per_trial_errors(cfg, tables: dict[str, np.ndarray], batch: int, m: np.ndarr
     `batch` with keyed bases m, decided trial by trial.
 
     The batch draws its bits from the (master_seed, batch) stream, then its DSR
-    dithers, sends j = encode(bit, m) + dither and takes k = (j - m) mod 2M; Bob's
-    and then a keyed Eve's trials each err when one uniform u < p_err[k].  A
+    dithers, sends j = encode(bit, m) + dither mod 2M and takes k = (j - m) mod
+    2M; Bob's and then a keyed Eve's trials each err when one uniform u < p_err[k].  A
     nearest-point Eve errs when the bit she reads off j (from `sampler`) is not
     the bit sent.
     """
     const = Constellation(cfg.m_bases, cfg.mapping)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
     bits = rng.integers(0, 2, size=m.size)
-    j = dsr_offset(rng, cfg.dsr_d, encode(bits, m, const).astype(np.int64), cfg.m_bases)
+    j = encode(bits, m, const).astype(np.int64)
+    if cfg.dsr_d:
+        j = (j + rng.integers(-cfg.dsr_d, cfg.dsr_d + 1, size=m.size)) % (2 * cfg.m_bases)
     k = (j - m) % (2 * cfg.m_bases)
 
     def errors(kind: str | None) -> int:

@@ -14,16 +14,16 @@ import numpy as np
 
 from alphaeta.cli import main
 from alphaeta.cipher import Constellation
-from alphaeta.keyrate import key_rate_vs_s
+from alphaeta.keyrate import key_rate_at_s
 from alphaeta.montecarlo import SimConfig, run_simulation
 from alphaeta.receivers import (
     ReceiverModel,
     canonical_phase_antipodal,
     eve_nokey_helstrom,
-    exponent_fit,
     helstrom_pure_antipodal,
     heterodyne_antipodal,
 )
+from references import exponent_fit
 
 S_GRID = [4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0]
 
@@ -152,7 +152,7 @@ def test_07_key_rate_orders():
                          "--line-rate", "1e9")
     rate_ph = json.loads(out_ph)["rate"]
     rate_het = json.loads(out_het)["rate"]
-    rate_s30 = key_rate_vs_s([30.0], "phase-deferred", 1e9)[0].rate
+    rate_s30 = key_rate_at_s(30.0, "phase-deferred", 1e9).rate
     elapsed = time.perf_counter() - t0
     ok_ph = 1e3 <= rate_ph <= 1e5
     ok_het = 1e6 <= rate_het <= 1e8

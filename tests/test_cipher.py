@@ -14,7 +14,8 @@ from alphaeta.cipher import (
     encode,
     encrypt_chunk,
 )
-from alphaeta.montecarlo import dsr_offset, keyed_bases
+from alphaeta.montecarlo import keyed_bases
+from references import lfsr_fill
 
 POWERS_OF_TWO = [1, 2, 4, 8, 16, 32, 64]
 
@@ -240,50 +241,14 @@ class TestChunkCodec:
                 decrypt_chunk(KeystreamGen.from_hex("77"), c, points.astype("<u2").tobytes())
 
 
-class TestDsrOffset:
-    def test_identity_at_zero(self):
-        rng = np.random.default_rng(0)
-        assert dsr_offset(rng, 0, 5, 8) == 5
-
-    def test_rejects_half_plane_violation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            dsr_offset(rng, 4, 0, 8)
-        with pytest.raises(ValueError):
-            dsr_offset(rng, -1, 0, 8)
-        with pytest.raises(ValueError, match="power of two"):
-            dsr_offset(rng, 1, 0, 6)  # the mod-2M mask needs M a power of two
-
-    def test_vectorized_window_and_draws(self):
-        j = np.arange(16) % 8
-        assert dsr_offset(np.random.default_rng(5), 0, j, 4) is j  # no draw at d = 0
-        out = dsr_offset(np.random.default_rng(5), 2, j, 8)
-        dither = np.random.default_rng(5).integers(-2, 3, size=16)
-        assert out.tolist() == ((j + dither) % 16).tolist()
-        assert set(((out - j + 8) % 16 - 8).tolist()) <= {-2, -1, 0, 1, 2}
-
-    def test_uniform_over_window(self):
-        rng = np.random.default_rng(99)
-        n = 100_000
-        hits = {15: 0, 0: 0, 1: 0}
-        for _ in range(n):
-            hits[dsr_offset(rng, 1, 0, 8)] += 1
-        sigma = math.sqrt(n * (1 / 3) * (2 / 3))
-        for count in hits.values():
-            assert abs(count - n / 3) < 5 * sigma
-
-
 class TestKeystreamGen:
     def test_degree4_period_15(self):
-        # oracle: exhaustive state enumeration of the maximal degree-4 LFSR
-        gen = KeystreamGen(0b0001, taps=(4, 1), degree=4)
-        states = []
-        state = gen.register
-        while state not in states:
-            states.append(state)
-            gen.bits(1)
-            state = gen.register
-        assert len(states) == 15
+        # oracle: exhaustive state enumeration of the maximal degree-4 LFSR, whose
+        # register after i bits is the next 4 bits o[i..i+3]
+        seq = unpacked(KeystreamGen(0b0001, taps=(4, 1), degree=4).bits(19), 19)
+        states = [tuple(seq[i:i + 4].tolist()) for i in range(16)]
+        assert len(set(states[:15])) == 15 and (0, 0, 0, 0) not in states
+        assert states[15] == states[0]
         fresh = KeystreamGen(0b0001, taps=(4, 1), degree=4)
         seq = unpacked(fresh.bits(45), 45)
         assert np.array_equal(seq[:15], seq[15:30])
@@ -291,9 +256,8 @@ class TestKeystreamGen:
 
     def test_zero_bits_leaves_state(self):
         gen = KeystreamGen.from_hex("abc123")
-        before = gen.register
         assert len(gen.bits(0)) == 0
-        assert gen.register == before
+        assert gen.bits(64) == KeystreamGen.from_hex("abc123").bits(64)
 
     def test_determinism(self):
         a = KeystreamGen.from_hex("deadbeef").bits(1000)
@@ -306,9 +270,20 @@ class TestKeystreamGen:
         with pytest.raises(ValueError):
             KeystreamGen.from_hex("100000000")  # only bits above the register
 
-    def test_rejects_bad_hex_and_taps(self):
+    @pytest.mark.parametrize("key", ["xyz", "", "1deadbeef", "-1", "+1", "de_ad", " 1",
+                                     "1 ", "0x1", "1\n"])
+    def test_rejects_key_that_is_not_a_register_fill(self, key):
+        # only hex digits, nonzero and below 2^32: int(key, 16) alone would mask
+        # 1deadbeef to deadbeef and read -1, +1, de_ad, ' 1' and 0x1 as numbers
         with pytest.raises(ValueError):
-            KeystreamGen.from_hex("xyz")
+            KeystreamGen.from_hex(key)
+
+    def test_accepts_either_case_and_leading_zeros(self):
+        want = KeystreamGen(0xDEADBEEF).bits(100)
+        for key in ("deadbeef", "DEADBEEF", "DeadBeef", "00000000deadbeef"):
+            assert KeystreamGen.from_hex(key).bits(100) == want
+
+    def test_rejects_bad_taps(self):
         with pytest.raises(ValueError):
             KeystreamGen(1, taps=(3, 1), degree=4)
 
@@ -320,9 +295,8 @@ class TestKeystreamGen:
 
     def test_m1_consumes_nothing(self):
         gen = KeystreamGen.from_hex("1")
-        before = gen.register
         assert keyed_bases(gen, 1, 5).tolist() == [0] * 5
-        assert gen.register == before
+        assert gen.bits(64) == KeystreamGen.from_hex("1").bits(64)
 
     def test_rejects_non_power_of_two_m(self):
         with pytest.raises(ValueError):
@@ -361,36 +335,35 @@ class TestKeystreamGen:
         sigma = math.sqrt(draws * p * (1 - p))
         assert np.all(np.abs(counts - draws * p) < 5 * sigma)
 
-    def test_python_fallback_matches_fast_path(self):
-        from alphaeta.cipher import _lfsr_fill_py
+    def test_from_hex_fill_matches_bit_serial_reference(self):
         gen = KeystreamGen.from_hex("deadbeef")
         fast = unpacked(gen.bits(500), 500)
         slow = np.empty(500, dtype=np.uint8)
-        _lfsr_fill_py(int("deadbeef", 16), [t - 1 for t in gen.taps], gen.degree - 1, slow)
+        lfsr_fill(int("deadbeef", 16), [t - 1 for t in gen.taps], gen.degree - 1, slow)
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("taps, degree", LFSR_POLYNOMIALS)
     def test_vectorised_bits_match_bit_serial_reference(self, taps, degree):
-        from alphaeta.cipher import _lfsr_fill_py
+        """The register after some bits is the next `degree` bits, so reading them
+        checks the state that each call leaves."""
         n = 100_003
         shifts = [t - 1 for t in taps]
         for seed in (1, 0xDEADBEEF, (1 << degree) - 1, 0x9E3779B97F4A7C15F39CC0605CEDC835):
+            seed &= (1 << degree) - 1
             gen = KeystreamGen(seed, taps, degree)
-            ref = np.empty(n + degree - 1, dtype=np.uint8)
-            mid_state = _lfsr_fill_py(gen.register, shifts, degree - 1, ref[:n])
-            end_state = _lfsr_fill_py(mid_state, shifts, degree - 1, ref[n:])
+            ref = np.empty(n + 2 * degree - 1, dtype=np.uint8)
+            lfsr_fill(seed, shifts, degree - 1, ref)
             assert np.array_equal(unpacked(gen.bits(n), n), ref[:n])
-            assert gen.register == mid_state
             assert len(gen.bits(0)) == 0
-            assert gen.register == mid_state
             # n < degree
-            assert np.array_equal(unpacked(gen.bits(degree - 1), degree - 1), ref[n:])
-            assert gen.register == end_state
+            assert np.array_equal(unpacked(gen.bits(degree - 1), degree - 1),
+                                  ref[n:n + degree - 1])
+            assert np.array_equal(unpacked(gen.bits(degree), degree), ref[n + degree - 1:])
             split = KeystreamGen(seed, taps, degree)
             joined = np.concatenate([unpacked(split.bits(12_345), 12_345),
                                      unpacked(split.bits(n - 12_345), n - 12_345)])
             assert np.array_equal(joined, ref[:n])
-            assert split.register == mid_state
+            assert np.array_equal(unpacked(split.bits(degree), degree), ref[n:n + degree])
 
 
 @settings(max_examples=30, deadline=None)
@@ -399,13 +372,13 @@ class TestKeystreamGen:
                       min_size=1, max_size=8))
 def test_bits_split_into_calls_matches_one_call(poly, seed, calls):
     """bits() carries its history across calls: any split of the stream equals
-    one call and the bit-serial reference, and so does the register after each call."""
-    from alphaeta.cipher import _lfsr_fill_py
+    one call and the bit-serial reference, and so does the register after the last
+    call, read as the next `degree` bits."""
     taps, degree = poly
     seed = seed % ((1 << degree) - 1) + 1
     total = sum(calls)
     ref = np.empty(total + degree, dtype=np.uint8)  # o[i]; the register at pos is o[pos:pos+d]
-    _lfsr_fill_py(seed, [t - 1 for t in taps], degree - 1, ref)
+    lfsr_fill(seed, [t - 1 for t in taps], degree - 1, ref)
     gen = KeystreamGen(seed, taps, degree)
     pos = 0
     for n in calls:
@@ -414,7 +387,7 @@ def test_bits_split_into_calls_matches_one_call(poly, seed, calls):
         assert int.from_bytes(packed, "little") >> n == 0  # the bits past n are zero
         assert np.array_equal(unpacked(packed, n), ref[pos:pos + n])
         pos += n
-        assert gen.register == sum(int(b) << i for i, b in enumerate(ref[pos:pos + degree]))
+    assert np.array_equal(unpacked(gen.bits(degree), degree), ref[total:])
     assert np.array_equal(unpacked(KeystreamGen(seed, taps, degree).bits(total), total),
                           ref[:total])
 
@@ -425,31 +398,32 @@ def test_bits_split_into_calls_matches_one_call(poly, seed, calls):
 ])
 def test_bits_history_is_capped(taps, degree, calls):
     """Calls much longer than the history keep exactly `degree` blocks of BLOCK_BITS
-    bits and still continue the bit-serial reference, register included."""
-    from alphaeta.cipher import BLOCK_BITS, _lfsr_fill_py
+    bits, compute only the blocks their own output needs, and still continue the
+    bit-serial reference."""
+    from alphaeta.cipher import BLOCK_BITS
     seed = 0x9E3779B97F4A7C15F39CC0605CEDC835 % ((1 << degree) - 1) + 1
     ref = np.empty(sum(calls) + degree, dtype=np.uint8)
-    _lfsr_fill_py(seed, [t - 1 for t in taps], degree - 1, ref)
+    lfsr_fill(seed, [t - 1 for t in taps], degree - 1, ref)
     gen = KeystreamGen(seed, taps, degree)
     pos = 0
     for n in calls:
         assert np.array_equal(unpacked(gen.bits(n), n), ref[pos:pos + n])
         pos += n
-        assert gen.register == sum(int(b) << i for i, b in enumerate(ref[pos:pos + degree]))
+        assert gen._next == max(degree, -(-pos // BLOCK_BITS))
         assert len(gen._blocks) == degree
         assert max(b.bit_length() for b in gen._blocks) <= BLOCK_BITS
+    assert np.array_equal(unpacked(gen.bits(degree), degree), ref[pos:])
 
 
-def test_bits_keeps_the_register_when_the_cap_is_below_the_degree(monkeypatch):
+def test_bits_with_blocks_shorter_than_the_degree(monkeypatch):
     from alphaeta import cipher
     monkeypatch.setattr(cipher, "BLOCK_BITS", 16)
     taps, degree = (89, 51), 89
-    ref = np.empty(3000 + degree, dtype=np.uint8)
-    cipher._lfsr_fill_py(12345, [t - 1 for t in taps], degree - 1, ref)
+    ref = np.empty(3000, dtype=np.uint8)
+    lfsr_fill(12345, [t - 1 for t in taps], degree - 1, ref)
     gen = KeystreamGen(12345, taps, degree)
     assert np.array_equal(unpacked(gen.bits(1000), 1000), ref[:1000])
     assert len(gen._blocks) == degree
-    assert gen.register == sum(int(b) << i for i, b in enumerate(ref[1000:1000 + degree]))
     assert np.array_equal(unpacked(gen.bits(2000), 2000), ref[1000:3000])
 
 

@@ -21,11 +21,16 @@ import alphaeta
 from alphaeta import cipher, keyrate, names, receivers
 from alphaeta.cipher import MAPPINGS, Constellation
 from alphaeta.cli import CHUNK_BYTES, MAX_M, build_parser, main
-from alphaeta.keyrate import KEYRATE_EVE_STRATEGIES, key_rate_vs_s
+from alphaeta.keyrate import KEYRATE_EVE_STRATEGIES, key_rate_at_s
 from alphaeta.receivers import BER_LAWS, EVE_STRATEGIES, RECEIVER_KINDS
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 READS_VMHWM = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+
+
+# not a string of hex digits with a nonzero value below 2^32; int(key, 16) would
+# take 1deadbeef as deadbeef and read -1, +1, de_ad, ' 1' and 0x1 as numbers
+BAD_SEED_KEYS = ["0", "zz", "100000000", "1deadbeef", "-1", "+1", "de_ad", " 1", "0x1"]
 
 
 def run_cli(*argv):
@@ -289,9 +294,10 @@ class TestSimulate:
         _, out = run_cli("simulate", "--s", "1", "--trials", "10", "--bob", "phase")
         assert json.loads(out)["config"]["bob_receiver"] == {"kind": "phase", "resolution": 4096}
 
-    @pytest.mark.parametrize("key", ["0", "zz"])
+    @pytest.mark.parametrize("key", BAD_SEED_KEYS)
     def test_bad_seed_key_is_usage_error(self, key, capsys):
-        assert run_cli("simulate", "--s", "1", "--trials", "10", "--seed-key", key)[0] == 2
+        code, out = run_cli("simulate", "--s", "1", "--trials", "10", f"--seed-key={key}")
+        assert (code, out) == (2, "")
         assert "computation failed" not in capsys.readouterr().err
 
 
@@ -395,6 +401,16 @@ class TestEncryptDecrypt:
                           "--seed-key", "1", "--m", m)
         assert code == 2
         assert "32768" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", BAD_SEED_KEYS)
+    @pytest.mark.parametrize("command", ["encrypt", "decrypt"])
+    def test_bad_seed_key_is_usage_error_without_output(self, tmp_path, command, key):
+        _, ct, _ = self._roundtrip(tmp_path, 64)
+        src = tmp_path / ("pt.bin" if command == "encrypt" else "ct.bin")
+        out = tmp_path / "out.bin"
+        assert run_cli(command, "--input", str(src), "--output", str(out),
+                       f"--seed-key={key}")[0] == 2
+        assert not out.exists()
 
     def test_header_mismatch_is_usage_error(self, tmp_path):
         _, ct, _ = self._roundtrip(tmp_path, 64)
@@ -568,7 +584,7 @@ def test_name_tables_are_defined_once():
             Constellation(4, mapping)
     for strategy in set(EVE_STRATEGIES) - set(KEYRATE_EVE_STRATEGIES):
         with pytest.raises(ValueError):
-            key_rate_vs_s([1.0], strategy, 1e9)
+            key_rate_at_s(1.0, strategy, 1e9)
 
 
 class TestImports:

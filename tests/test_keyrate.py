@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from alphaeta.keyrate import binary_entropy, key_rate, key_rate_vs_s
+from alphaeta.keyrate import binary_entropy, key_rate, key_rate_at_s
 
 
 class TestBinaryEntropy:
@@ -68,22 +68,22 @@ class TestKeyRate:
         assert key_rate(lo, 0.5, 1e9).rate >= key_rate(hi, 0.5, 1e9).rate - 1e-9
 
 
-class TestKeyRateVsS:
+class TestKeyRateAtS:
     def test_s0_no_rate(self):
-        rep = key_rate_vs_s([0.0], "phase-deferred", 1e9)[0]
+        rep = key_rate_at_s(0.0, "phase-deferred", 1e9)
         assert rep.rate == 0.0
 
     @pytest.mark.parametrize("strategy", ["phase-deferred", "heterodyne-deferred"])
     def test_strictly_decreasing_in_s(self, strategy):
-        rates = [r.rate for r in key_rate_vs_s([1, 2, 4, 6, 8], strategy, 1e9)]
+        rates = [key_rate_at_s(s, strategy, 1e9).rate for s in (1, 2, 4, 6, 8)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
     def test_large_s_rate_collapses(self):
-        rep = key_rate_vs_s([30.0], "phase-deferred", 1e9)[0]
+        rep = key_rate_at_s(30.0, "phase-deferred", 1e9)
         assert rep.rate < 1e-10 * 1e9
 
     def test_rejects_negative_s_and_bad_strategy(self):
         with pytest.raises(ValueError):
-            key_rate_vs_s([-1.0], "phase-deferred", 1e9)
+            key_rate_at_s(-1.0, "phase-deferred", 1e9)
         with pytest.raises(ValueError):
-            key_rate_vs_s([1.0], "crystal-ball", 1e9)
+            key_rate_at_s(1.0, "crystal-ball", 1e9)

@@ -202,7 +202,7 @@ class TestKeyedDecisionIdentity:
             assert table[k] == law(s * math.cos(math.pi * steps / m_count) ** 2).exact
             assert table[k] == pytest.approx(
                 law(s * math.cos(math.pi * k / m_count) ** 2).exact, rel=1e-12)
-        assert table[0] == table[m_count] == ReceiverModel(kind).law(s).exact
+        assert table[0] == table[m_count] == law(s).exact
 
     @pytest.mark.parametrize("s", [0.0, 0.3, 7.0, 100.0, 1000.0])
     @pytest.mark.parametrize("m_count", [1, 2, 32, 4096])
@@ -550,5 +550,7 @@ class TestRunSimulation:
             _cfg(m_bases=6)
         with pytest.raises(ValueError):
             _cfg(dsr_d=16)
+        with pytest.raises(ValueError):
+            _cfg(dsr_d=-1)
         with pytest.raises(ValueError):  # a config is checked whenever it is built
             replace(_cfg(), trials=0)

@@ -13,7 +13,7 @@ from alphaeta.fock import (
     phase_distribution,
     pure_density,
 )
-from alphaeta.keyrate import key_rate_vs_s
+from alphaeta.keyrate import key_rate_at_s
 from alphaeta.receivers import (
     BER_LAWS,
     EVE_STRATEGIES,
@@ -23,12 +23,12 @@ from alphaeta.receivers import (
     _circulant_gram_spectrum,
     canonical_phase_antipodal,
     eve_nokey_helstrom,
-    exponent_fit,
     helstrom_pure_antipodal,
     heterodyne_antipodal,
     homodyne_antipodal,
     signal_grid,
 )
+from references import exponent_fit
 
 
 class TestHelstrom:
@@ -190,7 +190,7 @@ def test_phase_ber_where_e_minus_s_over_2_underflows(s):
 
 def eve_law(strategy, s):
     """Law a deferred-decision eavesdropper reaches once the basis is revealed."""
-    return ReceiverModel(EVE_STRATEGIES[strategy]).law(s)
+    return BER_LAWS[EVE_STRATEGIES[strategy]](s)
 
 
 class TestEveDeferred:
@@ -209,7 +209,7 @@ class TestEveDeferred:
     def test_unknown_strategy(self):
         for strategy in ("telepathy", "nearest-point", "none"):
             with pytest.raises(ValueError):
-                key_rate_vs_s([1.0], strategy, 1e9)
+                key_rate_at_s(1.0, strategy, 1e9)
 
 
 def full_gram_spectrum(s, n_points):
@@ -438,7 +438,7 @@ class TestRegistry:
         assert RECEIVER_KINDS == tuple(BER_LAWS) == tuple(direct)
         for kind, law in direct.items():
             for s in (0.0, 0.7, 7.0):
-                assert ReceiverModel(kind).law(s) == law(s)
+                assert BER_LAWS[kind](s) == law(s)
 
     def test_eve_strategies_map_to_receiver_kinds(self):
         assert EVE_STRATEGIES == {"phase-deferred": "phase",
