@@ -17,9 +17,9 @@ own, then imports its engine:
     decrypt     cipher (standard library only: no numpy)
 
 Ciphertext format: 16-byte header (magic "Y00STRM1", u16 version, u16 M,
-u8 mapping code, 3 reserved bytes) followed by one little-endian u16
-point index per plaintext bit.  There is no integrity check: decrypting
-with the wrong seed key silently yields garbage bits.
+u8 mapping code, 3 reserved bytes that must be 0) followed by one
+little-endian u16 point index per plaintext bit.  There is no integrity
+check: decrypting with the wrong seed key silently yields garbage bits.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from .names import EVE_STRATEGIES, KEYRATE_EVE_STRATEGIES, MAPPINGS, RECEIVER_KI
 
 MAGIC = b"Y00STRM1"
 FORMAT_VERSION = 1
-HEADER_BYTES = 16
+HEADER = struct.Struct("<8sHHB3s")  # magic, version, M, mapping code, reserved
 MAX_M = 1 << 15  # the 2M point indices must fit the u16 body
 MAPPING_CODES = {"alternating": 0, "plain": 1}
 MAPPING_NAMES = {v: k for k, v in MAPPING_CODES.items()}
@@ -131,13 +131,11 @@ def cmd_simulate(args) -> int:
     from dataclasses import asdict  # not at the top: the parser alone does not need it
 
     from .montecarlo import SimConfig, run_simulation
-    from .receivers import ReceiverModel
 
     try:
         cfg = SimConfig(
             s=args.s, m_bases=args.m, mapping=args.mapping, seed_key=args.seed_key,
-            bob_receiver=ReceiverModel(args.bob),
-            eve_strategy=args.eve, trials=args.trials,
+            bob_receiver=args.bob, eve_strategy=args.eve, trials=args.trials,
             master_seed=args.master_seed, dsr_d=args.dsr_d)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -175,19 +173,17 @@ def cmd_keyrate(args) -> int:
     return 0
 
 
-def _pack_header(m_bases: int, mapping: str) -> bytes:
-    return MAGIC + struct.pack("<HHB3x", FORMAT_VERSION, m_bases, MAPPING_CODES[mapping])
-
-
 def _parse_header(blob: bytes) -> tuple[int, str]:
     """M and mapping of a ciphertext header."""
-    if len(blob) < HEADER_BYTES or blob[:8] != MAGIC:
+    if len(blob) < HEADER.size or blob[:8] != MAGIC:
         raise ValueError("not a ciphertext stream (bad magic)")
-    version, m_bases, code = struct.unpack("<HHB3x", blob[8:HEADER_BYTES])
+    _, version, m_bases, code, reserved = HEADER.unpack(blob)
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported ciphertext version {version}")
     if code not in MAPPING_NAMES:
         raise ValueError(f"unknown mapping code {code}")
+    if reserved != bytes(3):
+        raise ValueError(f"nonzero reserved header bytes {reserved.hex()}")
     return m_bases, MAPPING_NAMES[code]
 
 
@@ -225,10 +221,10 @@ def cmd_encrypt(args) -> int:
         gen = KeystreamGen.from_hex(args.seed_key)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
+    head = HEADER.pack(MAGIC, FORMAT_VERSION, args.m, MAPPING_CODES[args.mapping], bytes(3))
     with open(args.input, "rb") as src:
         _check_distinct_paths(args)
-        _stream(src, args.output, _pack_header(args.m, args.mapping), CHUNK_BYTES,
-                partial(encrypt_chunk, gen, const))
+        _stream(src, args.output, head, CHUNK_BYTES, partial(encrypt_chunk, gen, const))
     return 0
 
 
@@ -237,7 +233,7 @@ def cmd_decrypt(args) -> int:
 
     with open(args.input, "rb") as src:
         # raises on an M that is no power of 2
-        const = Constellation(*_parse_header(src.read(HEADER_BYTES)))
+        const = Constellation(*_parse_header(src.read(HEADER.size)))
         if args.m is not None and args.m != const.m_bases:
             raise UsageError(f"--m {args.m} conflicts with ciphertext header M={const.m_bases}")
         if args.mapping is not None and args.mapping != const.mapping:

@@ -29,7 +29,8 @@ import numpy as np
 
 from .cipher import Constellation, KeystreamGen, encode
 from .fock import phase_cdf
-from .receivers import BER_LAWS, EVE_STRATEGIES, PHASE_LAW_GRID, ReceiverModel
+from .names import EVE_STRATEGIES, RECEIVER_KINDS
+from .receivers import BER_LAWS, PHASE_LAW_GRID
 
 BATCH_SIZE = 1 << 16
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -70,7 +71,7 @@ class SimConfig:
     m_bases: int
     mapping: str = "alternating"
     seed_key: str = "deadbeef"
-    bob_receiver: ReceiverModel = ReceiverModel("heterodyne")
+    bob_receiver: str = "heterodyne"
     eve_strategy: str = "none"
     trials: int = 100_000
     master_seed: int = 0
@@ -81,13 +82,15 @@ class SimConfig:
             raise ValueError("trials must be >= 1")
         if not math.isfinite(self.s) or self.s < 0:
             raise ValueError("S must be finite and >= 0")
+        if self.bob_receiver not in RECEIVER_KINDS:
+            raise ValueError(f"unknown receiver kind {self.bob_receiver!r}")
         if self.eve_strategy != "none" and self.eve_strategy not in EVE_STRATEGIES:
             raise ValueError(f"unknown eve strategy {self.eve_strategy!r}")
         if not 0 <= self.master_seed < 2 ** 64:
             raise ValueError("master_seed must be a 64-bit unsigned integer")
         if self.dsr_d and not 0 <= self.dsr_d < self.m_bases / 2:
             raise ValueError(f"dsr_d={self.dsr_d} must satisfy 0 <= d < M/2")
-        if self.dsr_d and self.bob_receiver.kind == "optimal":
+        if self.dsr_d and self.bob_receiver == "optimal":
             raise ValueError("analytic-flip Bob cannot be combined with DSR "
                              "(the flip probability is no longer valid)")
         Constellation(self.m_bases, self.mapping)  # raises on bad M / mapping
@@ -196,6 +199,24 @@ def offset_histogram(rng: np.random.Generator, n: int, m_count: int, d: int) -> 
     return hist
 
 
+def analytic_ber(table: np.ndarray, const: Constellation, d: int) -> float:
+    """A receiver's error table averaged under the law the batches draw its cells from:
+    a table of 2M entries is over keyed offsets k, one of 4M over Eve's b * 2M + j.
+
+    The 2M(2d+1) (bit, basis, dither) triples are equally likely.  Undithered, (b, m)
+    sends j = encode(b, m); a dither in [-d, d] then moves j, so a cell holds the
+    undithered triples of the 2d+1 cells around it: a circular window sum, one cumsum.
+    """
+    n, m_count = const.num_points, const.m_bases
+    bits, bases = np.repeat([0, 1], m_count), np.tile(np.arange(m_count), 2)
+    j = encode(bits, bases, const)
+    cells = (j - bases) % n if table.size == n else bits * n + j
+    undithered = np.bincount(cells, minlength=table.size).reshape(-1, n)
+    sums = np.cumsum(undithered[:, np.arange(-d - 1, n + d) % n], axis=1)
+    counts = (sums[:, 2 * d + 1:] - sums[:, :n]).ravel()
+    return float(counts @ table) / counts.sum()
+
+
 def keyed_bases(gen: KeystreamGen, m_bases: int, count: int) -> np.ndarray:
     """Next count basis indices, each log2(M) keystream bits read big-endian; as
     uint16 up to M = 2^16 (faster than int64), so callers promote before arithmetic."""
@@ -245,7 +266,7 @@ def _run_batch(cfg: SimConfig, const: Constellation, tables: dict, batch: int, n
         occupied = np.flatnonzero(counts)
         return int(rng.binomial(counts[occupied], table[occupied]).sum())
 
-    bob_err = errors(hist, tables[cfg.bob_receiver.kind])
+    bob_err = errors(hist, tables[cfg.bob_receiver])
     if cfg.eve_strategy == "none":
         return bob_err, 0
     return bob_err, errors(eve_hist, tables[EVE_STRATEGIES[cfg.eve_strategy]])
@@ -257,7 +278,7 @@ def run_simulation(cfg: SimConfig) -> TrialReport:
     const = Constellation(cfg.m_bases, cfg.mapping)
 
     eve_kind = EVE_STRATEGIES.get(cfg.eve_strategy)
-    keyed = {cfg.bob_receiver.kind, eve_kind} - {None}
+    keyed = {cfg.bob_receiver, eve_kind} - {None}
     nearest = cfg.eve_strategy != "none" and eve_kind is None
     sampler = PhaseSampler(cfg.s, cfg.m_bases) if nearest or "phase" in keyed else None
     tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler) for kind in keyed}
@@ -274,10 +295,7 @@ def run_simulation(cfg: SimConfig) -> TrialReport:
         bob_err += bob
         eve_err += eve
 
-    def analytic(kind: str) -> float:
-        """The receiver's table averaged over the 2d+1 DSR offsets of the axis point."""
-        return float(np.mean(tables[kind][np.arange(-cfg.dsr_d, cfg.dsr_d + 1)]))
-
     eve = BerEstimate.from_counts(eve_err, cfg.trials) if cfg.eve_strategy != "none" else None
     return TrialReport(cfg, BerEstimate.from_counts(bob_err, cfg.trials), eve,
-                       analytic(cfg.bob_receiver.kind), analytic(eve_kind) if eve_kind else None)
+                       analytic_ber(tables[cfg.bob_receiver], const, cfg.dsr_d),
+                       analytic_ber(tables[eve_kind], const, cfg.dsr_d) if eve else None)

@@ -4,10 +4,9 @@ Four receivers are covered: the optimum (Helstrom) binary measurement,
 the canonical phase measurement, homodyne and heterodyne detection.
 The exact laws come with their asymptotic exponential envelopes
 e^{-4S}, e^{-2S}, e^{-2S} and e^{-S} respectively.  BER_LAWS, keyed by
-RECEIVER_KINDS, is the one table that pairs each receiver with its law;
-EVE_STRATEGIES pairs each eavesdropper strategy with a receiver kind (both
-name tables live in names.py).  Also here: the no-key Helstrom bound
-over the full constellation mixture.
+names.RECEIVER_KINDS, is the one table that pairs each receiver with its
+law.  Also here: the no-key Helstrom bound over the full constellation
+mixture.
 
 Only the phase law and the no-key bound, whose math needs them, import
 numpy and fock, so the closed-form laws, the receiver table and the signal
@@ -17,10 +16,8 @@ grid load neither.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
-
-from .names import EVE_STRATEGIES, RECEIVER_KINDS
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,19 +37,6 @@ BER_LAWS = {
     "homodyne": lambda s: homodyne_antipodal(s),
     "heterodyne": lambda s: heterodyne_antipodal(s),
 }
-
-
-@dataclass(frozen=True)
-class ReceiverModel:
-    """Tagged receiver choice.  `resolution` is not a setting: it records the
-    phase law's fixed grid, which the trial report's schema requires."""
-
-    kind: str
-    resolution: int = field(default=PHASE_LAW_GRID, init=False)
-
-    def __post_init__(self):
-        if self.kind not in RECEIVER_KINDS:
-            raise ValueError(f"unknown receiver kind {self.kind!r}")
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from alphaeta.cipher import Constellation, encode
-from alphaeta.receivers import EVE_STRATEGIES
+from alphaeta.names import EVE_STRATEGIES
 
 
 def sample_heterodyne(s: float, cos_offset, cos_axis, sin_axis, rng: np.random.Generator,
@@ -85,6 +85,6 @@ def per_trial_errors(cfg, tables: dict[str, np.ndarray], batch: int, m: np.ndarr
             return int(np.count_nonzero(nearest_point_bits(sampler, rng, j, const) != bits))
         return int(np.count_nonzero(rng.random(m.size) < tables[kind][k]))
 
-    bob = errors(cfg.bob_receiver.kind)
+    bob = errors(cfg.bob_receiver)
     eve = errors(EVE_STRATEGIES[cfg.eve_strategy]) if cfg.eve_strategy != "none" else 0
     return bob, eve, k

@@ -17,7 +17,6 @@ from alphaeta.cipher import Constellation
 from alphaeta.keyrate import key_rate_at_s
 from alphaeta.montecarlo import SimConfig, run_simulation
 from alphaeta.receivers import (
-    ReceiverModel,
     canonical_phase_antipodal,
     eve_nokey_helstrom,
     helstrom_pure_antipodal,
@@ -124,15 +123,15 @@ def test_06_monte_carlo_matches_analytic():
                 trials=10 ** 7, master_seed=2026, dsr_d=0)
     checks = []
 
-    rep = run_simulation(SimConfig(s=7.0, bob_receiver=ReceiverModel("heterodyne"),
+    rep = run_simulation(SimConfig(s=7.0, bob_receiver="heterodyne",
                                    eve_strategy="none", **base))
     checks.append(("S=7 heterodyne Bob", rep.bob, rep.analytic_bob))
 
-    rep = run_simulation(SimConfig(s=2.0, bob_receiver=ReceiverModel("homodyne"),
+    rep = run_simulation(SimConfig(s=2.0, bob_receiver="homodyne",
                                    eve_strategy="none", **base))
     checks.append(("S=2 homodyne Bob", rep.bob, rep.analytic_bob))
 
-    rep = run_simulation(SimConfig(s=7.0, bob_receiver=ReceiverModel("heterodyne"),
+    rep = run_simulation(SimConfig(s=7.0, bob_receiver="heterodyne",
                                    eve_strategy="phase-deferred", **base))
     checks.append(("S=7 phase-deferred Eve", rep.eve, rep.analytic_eve))
 

@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alphaeta
-from alphaeta import cipher, keyrate, names, receivers
+from alphaeta import cipher, keyrate, montecarlo, names
 from alphaeta.cipher import MAPPINGS, Constellation
 from alphaeta.cli import CHUNK_BYTES, MAX_M, build_parser, main
 from alphaeta.keyrate import KEYRATE_EVE_STRATEGIES, key_rate_at_s
-from alphaeta.receivers import BER_LAWS, EVE_STRATEGIES, RECEIVER_KINDS
+from alphaeta.names import EVE_STRATEGIES, RECEIVER_KINDS
+from alphaeta.receivers import BER_LAWS
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 READS_VMHWM = pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
@@ -266,14 +267,34 @@ class TestSimulate:
         assert code == 0
         doc = json.loads(out)
         for who in ("bob", "eve"):
-            if doc[f"analytic_{who}"] is not None:  # nearest-point Eve has no law
-                assert doc[who]["ci_low"] <= doc[f"analytic_{who}"] <= doc[who]["ci_high"]
+            assert doc[who]["ci_low"] <= doc[f"analytic_{who}"] <= doc[who]["ci_high"]
 
     def test_report_validates_against_schema(self):
         schema = json.loads((SCHEMA_DIR / "trial_report.schema.json").read_text())
         _, out = run_cli("simulate", "--s", "1", "--trials", "10000",
                          "--eve", "nearest-point")
         jsonschema.validate(json.loads(out), schema)
+
+    def test_nearest_point_law_meets_closed_form(self):
+        """At S = 1e4 Eve reads the sent point without error, so she errs exactly
+        when a DSR dither of +-1 (probability 2/3) moves the point onto a neighbour
+        with the other bit.  Under the alternating mapping every neighbour carries
+        the other bit except across the edges (M - 1, M) and (2M - 1, 0), 2 of the
+        2M edges: her law is (2/3)(1 - 1/M), 31/48 at M = 32, above the 1/2 of a
+        coin flip."""
+        schema = json.loads((SCHEMA_DIR / "trial_report.schema.json").read_text())
+        _, out = run_cli("simulate", "--s", "1e4", "--m", "32", "--dsr-d", "1", "--bob", "phase",
+                         "--eve", "nearest-point", "--trials", "1000")
+        doc = json.loads(out)
+        assert abs(doc["analytic_eve"] - 31 / 48) < 1e-9
+        jsonschema.validate(doc, schema)
+
+    def test_schema_enums_are_the_cli_names(self):
+        config = json.loads((SCHEMA_DIR / "trial_report.schema.json").read_text())[
+            "properties"]["config"]["properties"]
+        assert config["bob_receiver"]["enum"] == list(RECEIVER_KINDS)
+        assert config["eve_strategy"]["enum"] == [*EVE_STRATEGIES, "none"]
+        assert config["mapping"]["enum"] == list(MAPPINGS)
 
     def test_dsr_violation_is_usage_error(self):
         code, _ = run_cli("simulate", "--s", "1", "--m", "8", "--dsr-d", "4")
@@ -286,13 +307,13 @@ class TestSimulate:
         """Every phase value comes from a grid no caller picks (simulate's
         PhaseSampler table, sized from S and M by phase_grid, and the scalar law's
         fixed 4096 points), so no command offers one to set; the simulate report
-        echoes the scalar law's 4096."""
+        names the receiver by its kind alone."""
         for resolution in ("4096", "8192"):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--resolution", resolution])
             assert exc.value.code == 2
         _, out = run_cli("simulate", "--s", "1", "--trials", "10", "--bob", "phase")
-        assert json.loads(out)["config"]["bob_receiver"] == {"kind": "phase", "resolution": 4096}
+        assert json.loads(out)["config"]["bob_receiver"] == "phase"
 
     @pytest.mark.parametrize("key", BAD_SEED_KEYS)
     def test_bad_seed_key_is_usage_error(self, key, capsys):
@@ -425,6 +446,7 @@ class TestEncryptDecrypt:
         ("m-zero", lambda b: b[:10] + struct.pack("<H", 0) + b[12:], "power of two"),
         ("m-not-power-of-two", lambda b: b[:10] + struct.pack("<H", 3) + b[12:], "power of two"),
         ("mapping-code", lambda b: b[:12] + bytes([7]) + b[13:], "mapping code 7"),
+        ("reserved-bytes", lambda b: b[:15] + bytes([1]) + b[16:], "reserved header bytes 000001"),
         ("odd-length-body", lambda b: b + b"\x00", "odd number of bytes"),
         ("truncated-body", lambda b: b[:-2], "whole number of bytes"),
         ("out-of-range-point-in-last-chunk", lambda b: b[:-2] + struct.pack("<H", 64),
@@ -562,8 +584,8 @@ def test_flag_choices_match_the_registry():
 
 
 def test_name_tables_are_defined_once():
-    for engine, name in ((cipher, "MAPPINGS"), (receivers, "RECEIVER_KINDS"),
-                         (receivers, "EVE_STRATEGIES"), (keyrate, "KEYRATE_EVE_STRATEGIES")):
+    for engine, name in ((cipher, "MAPPINGS"), (montecarlo, "RECEIVER_KINDS"),
+                         (montecarlo, "EVE_STRATEGIES"), (keyrate, "KEYRATE_EVE_STRATEGIES")):
         assert getattr(engine, name) is getattr(names, name)
     _, sub = build_parser()
 

@@ -84,34 +84,38 @@ DIGESTS = {
     "keyrate-s-het":
         "366a53b759f9ccda65f6576824d1d90b57338cec71a5d556ad8fd975ccec9fb3",
     "sim-heterodyne-hetdeferred":
-        "87e8cc9b3a6155d5b3baecfc50244c8ac3e1fe30400bc8b66300b7abf7990e6b",
+        "4cff31d44f023bfda44336a9ae3865367756ccab60825e19ceb3ad7385f2b1fc",
     "sim-heterodyne-hetdeferred-w2":
-        "87e8cc9b3a6155d5b3baecfc50244c8ac3e1fe30400bc8b66300b7abf7990e6b",
+        "4cff31d44f023bfda44336a9ae3865367756ccab60825e19ceb3ad7385f2b1fc",
     "sim-homodyne-phasedeferred-plain":
-        "c8f40960415158fa4c30ab64b3225c8762878a9cf18a5ce18099843d72011ee2",
+        "cc58ec359014257e29bbbe5fbc5d1193bc027c69a51bce59868748c6ff62a920",
     "sim-optimal":
-        "eba715090ece8f1bc06ee5744c451fdd0465b44d2db993f6b0f9f67e2b6e0539",
+        "7f30fa3ef9cb166bd20c55c811bceb72b024dc547b4e86aab19727ea150dabca",
     "sim-optimal-hetdeferred-plain":
-        "609dce8b715f0bb984945795a465bc7a75f4025ed1bd22c97d30020cc4cce566",
+        "515d97226a9d1ea6c05b811c39098274544e42325d9d86805f60e86d38202b47",
     "sim-phase-dsr":
-        "f28c34506343ace5a8f6b0f61fc80a6b31374568d098a060b23c4bce124c8596",
+        "5650c920211a213c0c9d69cdd14b07fcfa77c4ff3b0266ddc9d69ff294d2485b",
     "sim-phase-nearest":
-        "e34d5212de666fe5c7579e7aa46027a840eedc81fa2797a3a635811c8208f8cf",
+        "f194b599dbf974b042f58cc2c4f4116fe6a6af9666b20d73eafb136e6faa6ed2",
     "sim-phase-nearest-dsr":
-        "1e9d092f246386a7ae2efe8b39eb68df9d2a9450a381070c9ba8a3c4ec508f77",
+        "4a5fb85e4890c8d88efffa25f11239b5f72c59241df48cd0aca7be16f996fc30",
     "sim-phase-nearest-plain-w2":
-        "46388e1f893495abc054da0bc349ac44c7c968bebae37dc4bd17cff09375d356",
+        "47d514198c3b02a574276abe0f5bcf2e5f333c80117c0f0cdf0ec607165776a9",
 }
 
-# name -> (bob errors, eve errors) of the simulate cases that read a phase table,
-# pinned apart from their digests: a re-recorded digest (the tables' last digits,
-# which analytic_bob and analytic_eve report) must not hide a change in the draws
+# name -> (bob errors, eve errors or None without an Eve) of every simulate case,
+# pinned apart from its digest: a re-recorded digest (the report's schema, or the
+# last digits of analytic_bob and analytic_eve) must not hide a change in the draws
 PHASE_TABLE_COUNTS = {
+    "sim-optimal": (7, None),
+    "sim-heterodyne-hetdeferred": (1567, 1577),
+    "sim-heterodyne-hetdeferred-w2": (1567, 1577),
     "sim-homodyne-phasedeferred-plain": (166, 891),
     "sim-phase-dsr": (1185, 1180),
     "sim-phase-nearest": (925, 34315),
     "sim-phase-nearest-dsr": (1179, 34490),
     "sim-phase-nearest-plain-w2": (925, 7689),
+    "sim-optimal-hetdeferred-plain": (7, 1610),
 }
 
 
@@ -150,7 +154,8 @@ def test_simulate_estimates_cover_analytic_law(tmp_path, name):
     the analytic laws at z=5."""
     doc = json.loads(run_to_file(CASES[name], tmp_path / "out"))
     for who in ("bob", "eve"):
-        if doc[f"analytic_{who}"] is None:  # no eavesdropper, or nearest-point (no law)
+        if doc[who] is None:  # no eavesdropper: no estimate and no law
+            assert doc[f"analytic_{who}"] is None
             continue
         low, high = wilson_interval(doc[who]["errors"], doc[who]["trials"], 5.0)
         assert low <= doc[f"analytic_{who}"] <= high, who
@@ -159,7 +164,8 @@ def test_simulate_estimates_cover_analytic_law(tmp_path, name):
 @pytest.mark.parametrize("name", sorted(PHASE_TABLE_COUNTS))
 def test_phase_table_cases_keep_their_error_counts(tmp_path, name):
     doc = json.loads(run_to_file(CASES[name], tmp_path / "out"))
-    assert (doc["bob"]["errors"], doc["eve"]["errors"]) == PHASE_TABLE_COUNTS[name]
+    eve = doc["eve"] and doc["eve"]["errors"]
+    assert (doc["bob"]["errors"], eve) == PHASE_TABLE_COUNTS[name]
 
 
 @pytest.mark.parametrize("m,mapping", CIPHERS)

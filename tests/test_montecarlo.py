@@ -14,6 +14,7 @@ from alphaeta.montecarlo import (
     PhaseSampler,
     SimConfig,
     _run_batch,
+    analytic_ber,
     keyed_bases,
     nearest_point_table,
     offset_error_table,
@@ -22,10 +23,9 @@ from alphaeta.montecarlo import (
     run_simulation,
     wilson_interval,
 )
+from alphaeta.names import EVE_STRATEGIES
 from alphaeta.receivers import (
     BER_LAWS,
-    EVE_STRATEGIES,
-    ReceiverModel,
     canonical_phase_antipodal,
     eve_nokey_helstrom,
     helstrom_pure_antipodal,
@@ -252,6 +252,24 @@ class TestNearestPointTable:
         np.testing.assert_allclose(table, [far, 1 - far, 1 - far, far], rtol=0, atol=1e-15)
 
 
+class TestAnalyticBer:
+    @pytest.mark.parametrize("mapping", ["alternating", "plain"])
+    @pytest.mark.parametrize("m_count,d", [(1, 0), (8, 0), (8, 3), (32, 15)])
+    def test_is_the_mean_over_every_triple(self, m_count, d, mapping):
+        """The cumsum cell law gives a table's mean over the 2M(2d+1) equally likely
+        (bit, basis, dither) triples, listed one by one: over the keyed offsets
+        k = (j - m) mod 2M for a 2M-entry table, over (b, j) for a 4M-entry one."""
+        const = Constellation(m_count, mapping)
+        n = const.num_points
+        b, m, dither = (grid.ravel() for grid in np.meshgrid(
+            [0, 1], np.arange(m_count), np.arange(-d, d + 1), indexing="ij"))
+        j = (encode(b, m, const) + dither) % n
+        rng = np.random.default_rng(m_count + d)
+        for table, cells in ((rng.random(n), (j - m) % n), (rng.random(2 * n), b * n + j)):
+            assert analytic_ber(table, const, d) == pytest.approx(np.mean(table[cells]),
+                                                                  rel=1e-13)
+
+
 def mpmath_arc_masses(s, arcs):
     """40-digit mass of the phase density of |sqrt S> on each arc (a pi, b pi), a < b.
 
@@ -354,7 +372,7 @@ class TestPhaseTables:
 
 def _cfg(**kw):
     base = dict(s=7.0, m_bases=32, mapping="alternating", seed_key="deadbeef",
-                bob_receiver=ReceiverModel("heterodyne"), eve_strategy="none",
+                bob_receiver="heterodyne", eve_strategy="none",
                 trials=100_000, master_seed=1, dsr_d=0)
     base.update(kw)
     return SimConfig(**base)
@@ -481,7 +499,7 @@ class TestRunSimulation:
         assert rep.bob.ci_low <= rep.analytic_bob <= rep.bob.ci_high
 
     def test_optimal_bob_nearly_error_free(self):
-        rep = run_simulation(_cfg(bob_receiver=ReceiverModel("optimal"), trials=10 ** 6))
+        rep = run_simulation(_cfg(bob_receiver="optimal", trials=10 ** 6))
         assert rep.bob.errors == 0  # p ~ 1.7e-13
         assert rep.analytic_bob == helstrom_pure_antipodal(7.0).exact
 
@@ -498,20 +516,21 @@ class TestRunSimulation:
     def test_physical_receivers_match_analytic(self, kind, law):
         # S chosen so expected errors >= 50
         s, trials = 2.0, 10 ** 6
-        rep = run_simulation(_cfg(s=s, bob_receiver=ReceiverModel(kind), trials=trials))
+        rep = run_simulation(_cfg(s=s, bob_receiver=kind, trials=trials))
         assert rep.bob.ci_low <= law(s).exact <= rep.bob.ci_high
 
     @pytest.mark.parametrize("s,trials", [(1.0, 10 ** 5), (2.0, 10 ** 5), (4.0, 10 ** 6)])
     def test_eve_worse_than_keyed_bob(self, s, trials):
-        rep = run_simulation(_cfg(s=s, bob_receiver=ReceiverModel("optimal"),
+        rep = run_simulation(_cfg(s=s, bob_receiver="optimal",
                                   eve_strategy="phase-deferred", trials=trials))
         assert rep.eve.p_hat > rep.analytic_bob
 
     def test_nearest_point_eve_confused_at_m64(self):
-        rep = run_simulation(_cfg(m_bases=64, bob_receiver=ReceiverModel("optimal"),
+        rep = run_simulation(_cfg(m_bases=64, bob_receiver="optimal",
                                   eve_strategy="nearest-point", trials=200_000))
         assert rep.eve.p_hat >= 0.25
-        assert rep.analytic_eve is None
+        low, high = wilson_interval(rep.eve.errors, rep.eve.trials, 5.0)
+        assert low <= rep.analytic_eve <= high  # her law, from the cell law of (b, j)
 
     @pytest.mark.parametrize("s", [1490.0, 2000.0])
     def test_phase_receivers_where_e_minus_s_over_2_underflows(self, s):
@@ -521,10 +540,12 @@ class TestRunSimulation:
         # density mass on the arcs of points with the other bit averaged over the
         # 2M sent points, is 0.499953 at S=1490 and 0.499946 at S=2000, so a bound
         # with 1/2 on one side holds only by draw order; 0.01 is about 6 sigma here.
-        rep = run_simulation(_cfg(s=s, m_bases=1024, bob_receiver=ReceiverModel("phase"),
+        rep = run_simulation(_cfg(s=s, m_bases=1024, bob_receiver="phase",
                                   eve_strategy="nearest-point", trials=100_000))
         assert rep.bob.errors == 0 and rep.analytic_bob < 1e-24
         assert abs(rep.eve.p_hat - 0.5) < 0.01
+        assert rep.analytic_eve == pytest.approx({1490.0: 0.499953, 2000.0: 0.499946}[s],
+                                                 abs=5e-7)
 
     def test_different_master_seed_changes_outcomes(self):
         a = run_simulation(_cfg(s=1.0, master_seed=1))
@@ -533,17 +554,19 @@ class TestRunSimulation:
 
     def test_dsr_with_phase_bob_stays_decodable(self):
         rep = run_simulation(_cfg(s=4.0, m_bases=8, dsr_d=3,
-                                  bob_receiver=ReceiverModel("phase"), trials=200_000))
+                                  bob_receiver="phase", trials=200_000))
         # dithered points stay inside Bob's half-plane, so BER stays small
         assert rep.bob.p_hat < 0.05
 
     def test_rejects_optimal_bob_with_dsr(self):
         with pytest.raises(ValueError, match="DSR"):
-            _cfg(bob_receiver=ReceiverModel("optimal"), dsr_d=1)
+            _cfg(bob_receiver="optimal", dsr_d=1)
 
     def test_rejects_bad_config(self):
         with pytest.raises(ValueError):
             _cfg(trials=0)
+        with pytest.raises(ValueError):
+            _cfg(bob_receiver="lidar")
         with pytest.raises(ValueError):
             _cfg(eve_strategy="guessing")
         with pytest.raises(ValueError):

@@ -14,12 +14,10 @@ from alphaeta.fock import (
     pure_density,
 )
 from alphaeta.keyrate import key_rate_at_s
+from alphaeta.names import EVE_STRATEGIES, RECEIVER_KINDS
 from alphaeta.receivers import (
     BER_LAWS,
-    EVE_STRATEGIES,
     PHASE_LAW_GRID,
-    RECEIVER_KINDS,
-    ReceiverModel,
     _circulant_gram_spectrum,
     canonical_phase_antipodal,
     eve_nokey_helstrom,
@@ -403,16 +401,6 @@ class TestHierarchy:
                     homodyne_antipodal, heterodyne_antipodal):
             vals = [law(float(s)).exact for s in grid]
             assert np.all(np.diff(vals) <= 1e-12)
-
-
-def test_receiver_model_validation():
-    with pytest.raises(ValueError):
-        ReceiverModel("lidar")
-    # every kind records the phase law's fixed grid, and none can set another
-    for kind in RECEIVER_KINDS:
-        assert ReceiverModel(kind).resolution == PHASE_LAW_GRID == 4096
-        with pytest.raises(TypeError):
-            ReceiverModel(kind, 8192)
 
 
 def test_signal_grid_is_linspace():
