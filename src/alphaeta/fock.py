@@ -1,7 +1,8 @@
 """Coherent-state numerics on one photon-number window.
 
 Every amplitude of |sqrt(S)> outside n in S -+ (40 sqrt(S) + 60) is below
-1e-80, so that window is the whole state at any S.  The density-matrix
+1e-80, so that window is the whole state at any S.  phase_tails is the one
+vector that the phase law and every phase table read.  The density-matrix
 helpers are the dense reference that the no-key bound is tested against.
 """
 
@@ -18,6 +19,8 @@ LOG_TINY = math.log(np.finfo(float).tiny)  # log of the smallest normal double
 def photon_window(s: float) -> np.ndarray:
     """Photon numbers n within S -+ (40 sqrt(S) + 60), clipped at 0.  Every Poisson
     term outside is below 1e-160; those below a window starting above 0 are 0."""
+    if s >= 2.0 ** 53:  # doubles skip integers from 2^53: no exact photon numbers
+        raise ValueError(f"mean photon number must be below 2^53, got {s:g}")
     spread = 40.0 * math.sqrt(s) + 60.0
     return np.arange(max(0, int(s - spread)), int(math.ceil(s + spread)) + 1)
 
@@ -69,14 +72,26 @@ def phase_distribution(s: float, resolution: int) -> np.ndarray:
     return dens
 
 
-def phase_cdf(s: float, grid: int) -> np.ndarray:
-    """F(phi_{2j}), j = 0 .. grid/2: the phase distribution function of |sqrt S> at
-    the even nodes phi_{2j} = -pi + 4 pi j / grid of the grid-point density.
+def phase_grid(s: float, m_bases: int) -> int:
+    """Points of the phase density grid behind the phase law and tables at S and M:
+    the smallest power of two >= max(4096, 8M, 128 sqrt(S)).
 
-    F is composite Simpson's rule, weights (1, 4, 1) h/3 on each two-interval
-    panel, the rule canonical_phase_antipodal sums over its far arc, scaled so
-    that F(pi) = 1.  The density is periodic, so the last panel closes on
-    phi_0.
+    With 8M | grid every arc edge the tables read, a multiple of pi/2M, is an
+    even node of the grid, where phase_tails is exact; with 128 sqrt(S) the node
+    spacing stays under about 1/10 of the phase width 1/(2 sqrt S).
+    """
+    need = max(4096, 8 * m_bases, math.ceil(128.0 * math.sqrt(s)))
+    return 1 << (need - 1).bit_length()
+
+
+def phase_tails(s: float, grid: int) -> np.ndarray:
+    """T(x_j) = P(|phi| >= x_j), j = 0 .. grid/4: the two-sided phase tail of |sqrt S>
+    at the even nodes x_j = 4 pi j / grid of the grid-point density.
+
+    T is composite Simpson's rule, weights (1, 4, 1) h/3 on each two-interval
+    panel, summed from -pi and from pi inwards, so every T(x_j) is the rule over
+    the arcs |phi| >= x_j alone, scaled so that T(0) = 1.  The density is
+    periodic, so the last panel closes on phi_0.
     """
     dens = phase_distribution(s, grid)
     panels = dens[1::2] * 4.0  # one fresh array; the panel sums are added in place
@@ -85,11 +100,12 @@ def phase_cdf(s: float, grid: int) -> np.ndarray:
     panels[-1] += dens[0]
     del dens
     panels *= 2.0 * np.pi / grid / 3.0  # h / 3; the vacuum's panels are then exactly 2 / grid
-    cdf = np.empty(grid // 2 + 1)
-    cdf[0] = 0.0
-    np.cumsum(panels, out=cdf[1:])
-    cdf /= cdf[-1]
-    return cdf
+    quarter = grid // 4
+    tails = np.zeros(quarter + 1)
+    # pair the panels at -phi and phi, outermost first, and sum towards phi = 0
+    np.cumsum(panels[:quarter] + panels[quarter:][::-1], out=tails[-2::-1])
+    tails /= tails[0]
+    return tails
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@ each receiver with one kernel: given the histogram of the batch's trials over
 the cells, its errors are one binomial draw per occupied cell, which is exact in
 distribution.  A keyed receiver's cell is the sent point's offset k from the
 basis axis.  Keyless nearest-point Eve's cell is the sent bit and point (b, j).
-Every phase table is read from one PhaseSampler, the Simpson CDF of the phase
-density on a grid sized from S and M by phase_grid; no caller picks a grid.
+Every phase table is read from one PhaseSampler, the two-sided Simpson tail of
+the phase density (fock.phase_tails) at the table nodes k pi/2M, on a grid
+sized from S and M by fock.phase_grid; no caller picks a grid.
 
 k = (bit ^ polarity(m)) * M + dither is uniform over its cells whatever the
 basis m, so the keystream is drawn only for a nearest-point Eve, whose cells
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cipher import Constellation, KeystreamGen, encode
-from .fock import phase_cdf
+from .fock import phase_grid, phase_tails
 from .names import EVE_STRATEGIES, RECEIVER_KINDS
-from .receivers import BER_LAWS, PHASE_LAW_GRID
+from .receivers import BER_LAWS
 
 BATCH_SIZE = 1 << 16
 WILSON_Z99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -106,49 +107,24 @@ class TrialReport:
     analytic_eve: float | None
 
 
-def phase_grid(s: float, m_bases: int) -> int:
-    """Points of the phase density grid behind the phase tables at S and M: the
-    smallest power of two >= max(PHASE_LAW_GRID, 8M, 128 sqrt(S)).
-
-    With 8M | grid every arc edge the tables read, a multiple of pi/2M, is an
-    even node of the grid, where the Simpson CDF is exact; with 128 sqrt(S) the
-    node spacing stays under about 1/10 of the phase width 1/(2 sqrt S).
-    """
-    need = max(PHASE_LAW_GRID, 8 * m_bases, math.ceil(128.0 * math.sqrt(s)))
-    return 1 << (need - 1).bit_length()
-
-
 class PhaseSampler:
-    """Inverse-CDF sampler for the canonical phase distribution of |sqrt S>, on the
-    phase_grid(S, M) grid.
-
-    The CDF is fock.phase_cdf, Simpson's rule at the grid's even nodes, linear
-    between them.
-    """
+    """fock.phase_tails of |sqrt S> on the phase_grid(S, M) grid; `tails` holds its
+    entries T(k pi/2M), k = 0 .. 2M, at the arc edges the phase tables read."""
 
     def __init__(self, s: float, m_bases: int):
         grid = phase_grid(s, m_bases)
-        self._cdf = phase_cdf(s, grid)
-        self._edges = np.linspace(-np.pi, np.pi, grid // 2 + 1)
+        self._all = phase_tails(s, grid)
+        self.tails = self._all[::grid // (8 * m_bases)]
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
-        return np.interp(rng.random(size), self._cdf, self._edges)
-
-    def cdf(self, phi):
-        """F(phi), the mass on [-pi, phi], linear between grid nodes; phi in [-pi, pi]."""
-        return np.interp(phi, self._edges, self._cdf)
-
-    def far_mass(self, delta):
-        """Mass beyond the half-plane of a state at phase 0 turned by delta in [0, pi/2].
-
-        The far arc is (pi/2 - delta, 3 pi/2 - delta); the density is even, so its
-        mass is F(-pi/2 - delta) + F(-pi/2 + delta), with no 1 - F cancellation.
-        """
-        return self.cdf(-np.pi / 2 - delta) + self.cdf(-np.pi / 2 + delta)
+        """Draws phi = sign(v) T^-1(|v|), T linear between nodes, v uniform on [-1, 1)."""
+        v = 2.0 * rng.random(size) - 1.0
+        nodes = np.linspace(np.pi, 0.0, self._all.size)
+        return np.copysign(np.interp(np.abs(v), self._all[::-1], nodes), v)
 
 
 def offset_error_table(kind: str, s: float, m_count: int,
-                       sampler: PhaseSampler | None) -> np.ndarray:
+                       tails: np.ndarray | None) -> np.ndarray:
     """p_err[k]: keyed receiver `kind` decides on the wrong side of the basis axis when
     the sent point lies k steps of pi/M from it, k < 2M.
 
@@ -156,11 +132,13 @@ def offset_error_table(kind: str, s: float, m_count: int,
     i = min(k mod M, M - k mod M) <= M/2.  A Gaussian outcome errs with its
     receiver's law at the projected signal S cos^2 delta (one law call per i;
     "optimal" only meets delta = 0, where its law is the Helstrom flip); the
-    phase receiver errs with the density mass beyond the half-plane.
+    phase receiver errs with the mass beyond the half-plane, (T(pi/2 - delta) +
+    T(pi/2 + delta)) / 2 as the density is even: PhaseSampler.tails at M -+ 2i.
     """
-    delta = np.pi * np.arange(m_count // 2 + 1) / m_count
+    i = np.arange(m_count // 2 + 1)
+    delta = np.pi * i / m_count
     if kind == "phase":
-        per_angle = sampler.far_mass(delta)
+        per_angle = (tails[m_count - 2 * i] + tails[m_count + 2 * i]) / 2
     else:
         law = BER_LAWS[kind]
         per_angle = np.array([law(s * math.cos(x) ** 2).exact for x in delta.tolist()])
@@ -168,22 +146,21 @@ def offset_error_table(kind: str, s: float, m_count: int,
     return per_angle[np.minimum(steps, m_count - steps)]
 
 
-def nearest_point_table(sampler: PhaseSampler, const: Constellation) -> np.ndarray:
+def nearest_point_table(tails: np.ndarray, const: Constellation) -> np.ndarray:
     """p_err[b * 2M + j]: the probability that keyless Eve, who snaps a canonical-phase
     outcome to the nearest of all 2M points and reads that point's bit, errs on a
     trial that sent bit b on point j.
 
     a[i], the density mass on the pi/M-wide arc around offset i pi/M, is read from
-    the sampler's CDF.  She reads 1 with probability q[j] = sum_i a[i] *
+    PhaseSampler.tails.  She reads 1 with probability q[j] = sum_i a[i] *
     point_bit((j + i) mod 2M), a circular correlation that one rFFT gives at any M,
     and errs with q[j] when b = 0 and 1 - q[j] when b = 1: under DSR the sent bit
     need not be point_bit(j).
     """
-    n, m_count = const.num_points, const.m_bases
-    # mass beyond |phi| = pi (i + 1/2) / M, i < M: 2 F(-|phi|), as the density is even
-    tails = 2 * sampler.cdf(-np.pi * (np.arange(m_count) + 0.5) / m_count)
-    side = -np.diff(tails) / 2  # the arc around +-i pi/M, 0 < i < M
-    arcs = np.concatenate(([1.0 - tails[0]], side, tails[-1:], side[::-1]))
+    n = const.num_points
+    beyond = tails[1::2]  # mass beyond |phi| = pi (i + 1/2) / M, i < M
+    side = -np.diff(beyond) / 2  # the arc around +-i pi/M, 0 < i < M
+    arcs = np.concatenate(([1.0 - beyond[0]], side, beyond[-1:], side[::-1]))
     ones = const.point_bit(np.arange(n))
     q = np.clip(np.fft.irfft(np.conj(np.fft.rfft(arcs)) * np.fft.rfft(ones), n), 0.0, 1.0)
     return np.concatenate((q, 1.0 - q))
@@ -280,11 +257,11 @@ def run_simulation(cfg: SimConfig) -> TrialReport:
     eve_kind = EVE_STRATEGIES.get(cfg.eve_strategy)
     keyed = {cfg.bob_receiver, eve_kind} - {None}
     nearest = cfg.eve_strategy != "none" and eve_kind is None
-    sampler = PhaseSampler(cfg.s, cfg.m_bases) if nearest or "phase" in keyed else None
-    tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler) for kind in keyed}
+    tails = PhaseSampler(cfg.s, cfg.m_bases).tails if nearest or "phase" in keyed else None
+    tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, tails) for kind in keyed}
     if nearest:
-        tables[None] = nearest_point_table(sampler, const)  # None: keyless Eve's table
-    del sampler  # the batches do not read it; its CDF and edges need not outlive the tables
+        tables[None] = nearest_point_table(tails, const)  # None: keyless Eve's table
+    del tails  # the batches do not read it; its grid need not outlive the tables
     gen = KeystreamGen.from_hex(cfg.seed_key) if nearest else None
 
     bob_err = eve_err = 0

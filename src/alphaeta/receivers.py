@@ -10,7 +10,8 @@ mixture.
 
 Only the phase law and the no-key bound, whose math needs them, import
 numpy and fock, so the closed-form laws, the receiver table and the signal
-grid load neither.
+grid load neither.  The phase law is one entry of fock.phase_tails, the
+tail vector that simulate's phase tables read.
 """
 
 from __future__ import annotations
@@ -23,10 +24,6 @@ if TYPE_CHECKING:
     import numpy as np
 
     from .cipher import Constellation
-
-# The phase law's FFT grid.  It must be divisible by 4: that puts nodes on
-# +-pi/2 and gives the far arc an even number of intervals for Simpson's rule.
-PHASE_LAW_GRID = 4096
 
 # receiver kind -> law(s).  The lambdas look each law up by name at call time,
 # so the wrappers that perfbench/tracer.py installs on the module attributes
@@ -72,21 +69,15 @@ def homodyne_antipodal(s: float) -> BerLaw:
 def canonical_phase_antipodal(s: float) -> BerLaw:
     """Canonical phase measurement with the half-plane decision rule.
 
-    Exact value is Simpson's rule, weights (1, 4, 2, ..., 4, 1) h/3, over the
-    phase density of |sqrt(S)> on the far arc [pi/2, 3pi/2] of the
-    PHASE_LAW_GRID-point grid: (4 T_4096 - T_2048) / 3 of the trapezoid sums.
+    Exact value is the far-arc mass T(pi/2) of fock.phase_tails on the
+    phase_grid(S, 1) grid: the Simpson sum that simulate's phase tables read.
     """
-    import numpy as np
+    from .fock import phase_grid, phase_tails
 
-    from .fock import phase_distribution
-
-    dens = phase_distribution(s, PHASE_LAW_GRID)
-    quarter = PHASE_LAW_GRID // 4
-    # the far arc wrapped through +-pi: phi = pi/2, ..., -pi, ..., -pi/2
-    arc = np.concatenate((dens[3 * quarter:], dens[:quarter + 1]))
-    weighted = arc[0] + arc[-1] + 4.0 * np.sum(arc[1:-1:2]) + 2.0 * np.sum(arc[2:-1:2])
-    exact = 2.0 * np.pi / PHASE_LAW_GRID / 3.0 * float(weighted)
-    return BerLaw(exact, math.exp(-2.0 * s))
+    if not math.isfinite(s) or s < 0:
+        raise ValueError("signal photon number must be finite and >= 0")
+    grid = phase_grid(s, 1)
+    return BerLaw(float(phase_tails(s, grid)[grid // 8]), math.exp(-2.0 * s))
 
 
 def _circulant_gram_spectrum(s: float, n_points: int) -> np.ndarray:

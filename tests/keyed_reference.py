@@ -40,12 +40,18 @@ def sample_homodyne(s: float, cos_offset, rng: np.random.Generator, size: int | 
     return math.sqrt(s) * cos_offset + rng.normal(scale=0.5, size=size)
 
 
-def half_planes(sampler, m_count: int) -> tuple[np.ndarray, np.ndarray]:
-    """CDF-space (lo, width) per offset k < 2M of a PhaseSampler: F is monotone, so
-    phi = F^-1(u) plus pi k/M is within pi/2 of the axis iff (u - lo[k]) mod 1 <= width[k]."""
+def half_planes(tails: np.ndarray, m_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """CDF-space (lo, width) per offset k < 2M of PhaseSampler.tails: F is monotone, so
+    phi = F^-1(u) plus pi k/M is within pi/2 of the axis iff (u - lo[k]) mod 1 <= width[k].
+
+    F is read at the 4M + 1 nodes phi = -pi + k pi/2M, where the even density gives
+    F = T(|phi|)/2 left of 0 and 1 - T(phi)/2 right of it; every edge read is a node."""
+    nodes = np.concatenate((tails[::-1] / 2, 1.0 - tails[1:] / 2))
+
     def cdf(x):  # periodic extension, F(x + 2 pi) = F(x) + 1
-        turns = np.floor((x + np.pi) / (2 * np.pi))
-        return turns + sampler.cdf(x - 2 * np.pi * turns)
+        turns, node = np.divmod(np.rint((x + np.pi) * 2 * m_count / np.pi).astype(np.int64),
+                                4 * m_count)
+        return turns + nodes[node]
 
     start = -np.pi / 2 - np.pi * np.arange(2 * m_count) / m_count
     lo = cdf(start)

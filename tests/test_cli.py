@@ -304,10 +304,10 @@ class TestSimulate:
                                       ["ber-table", "--receivers", "phase"]],
                              ids=["simulate", "ber-table"])
     def test_resolution_is_not_a_flag(self, argv):
-        """Every phase value comes from a grid no caller picks (simulate's
-        PhaseSampler table, sized from S and M by phase_grid, and the scalar law's
-        fixed 4096 points), so no command offers one to set; the simulate report
-        names the receiver by its kind alone."""
+        """Every phase value, simulate's tables and the scalar law alike, is read from
+        fock.phase_tails on the grid that fock.phase_grid sizes from S and M, so no
+        command offers one to set; the simulate report names the receiver by its
+        kind alone."""
         for resolution in ("4096", "8192"):
             with pytest.raises(SystemExit) as exc:
                 main([*argv, "--resolution", resolution])
@@ -607,6 +607,27 @@ def test_name_tables_are_defined_once():
     for strategy in set(EVE_STRATEGIES) - set(KEYRATE_EVE_STRATEGIES):
         with pytest.raises(ValueError):
             key_rate_at_s(1.0, strategy, 1e9)
+
+
+# commands whose S reaches fock.photon_window; "{s}" stands for the signal level
+HUGE_S_ARGV = {
+    "simulate": ["simulate", "--s", "{s}", "--bob", "phase", "--trials", "10"],
+    "eve-nokey": ["eve-nokey", "--s", "{s}"],
+    "ber-table": ["ber-table", "--s-min", "{s}", "--s-max", "{s}", "--receivers", "phase"],
+    "keyrate": ["keyrate", "--s", "{s}"],
+}
+
+
+@pytest.mark.parametrize("s", ["1e20", "1e300"])
+@pytest.mark.parametrize("command", sorted(HUGE_S_ARGV))
+def test_signal_from_2_53_is_a_one_line_error(command, s, capsys):
+    """From S = 2^53 on, doubles skip integers and no photon window is exact: each
+    command exits 1 with one line, not a traceback.  Only S far past the limit
+    is run: S in [1e10, 2^53) builds a window of gigabytes."""
+    code, out = run_cli(*(arg.format(s=s) for arg in HUGE_S_ARGV[command]))
+    assert (code, out) == (1, "")
+    assert capsys.readouterr().err == (
+        f"computation failed: mean photon number must be below 2^53, got {float(s):g}\n")
 
 
 class TestImports:

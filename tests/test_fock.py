@@ -11,8 +11,8 @@ from alphaeta.fock import (
     hermitian_eigenvalues,
     log_poisson,
     mix,
-    phase_cdf,
     phase_distribution,
+    phase_tails,
     photon_window,
     pure_density,
 )
@@ -264,23 +264,28 @@ class TestPhaseDistribution:
             phase_distribution(1.0, resolution)
 
 
-class TestPhaseCdf:
+class TestPhaseTails:
     @pytest.mark.parametrize("grid", [4096, 65536])
     def test_vacuum_is_linear(self, grid):
         # every Simpson panel of the uniform density is exactly 2 / grid
-        assert np.array_equal(phase_cdf(0.0, grid), np.arange(grid // 2 + 1) / (grid // 2))
+        quarter = grid // 4
+        assert np.array_equal(phase_tails(0.0, grid), np.arange(quarter, -1, -1) / quarter)
 
     @pytest.mark.parametrize("s", [0.5, 7.0, 1e4])
-    def test_is_the_simpson_sum_of_the_density(self, s):
+    def test_is_the_two_sided_simpson_sum_of_the_density(self, s):
         grid = 4096
         dens = phase_distribution(s, grid)
-        cdf = phase_cdf(s, grid)
-        assert cdf[0] == 0.0 and cdf[-1] == 1.0 and np.all(np.diff(cdf) >= 0.0)
-        # F at phi = 0 (node grid/2): Simpson's rule over [-pi, 0], over the whole
+        tails = phase_tails(s, grid)
+        assert tails[0] == 1.0 and tails[-1] == 0.0 and np.all(np.diff(tails) <= 0.0)
+        # T(x_j) is Simpson's rule over [-pi, -x_j] and [x_j, pi], over the whole
         # circle (where the amplitudes' rounding leaves 1 + 8e-12 at S = 1e4)
-        left = dens[:grid // 2 + 1]
-        half = left[0] + left[-1] + 4 * math.fsum(left[1:-1:2]) + 2 * math.fsum(left[2:-1:2])
-        circle = 4 * math.fsum(dens[1::2]) + 2 * math.fsum(dens[::2])
-        assert cdf[grid // 4] == pytest.approx(half / circle, rel=1e-14)
-        # the density is even: F(-phi) = 1 - F(phi) up to rounding
-        np.testing.assert_allclose(cdf + cdf[::-1], 1.0, rtol=0, atol=1e-14)
+        circle = np.append(dens, dens[0])  # phi_0 = -pi closes the circle at pi
+
+        def simpson(arc):  # the common h / 3 cancels in the ratio
+            return arc[0] + arc[-1] + 4 * math.fsum(arc[1:-1:2]) + 2 * math.fsum(arc[2:-1:2])
+
+        oracle = [(simpson(circle[:grid // 2 - 2 * j + 1]) + simpson(circle[grid // 2 + 2 * j:]))
+                  / simpson(circle) for j in range(1, grid // 4)]  # x_j is node grid/2 + 2j
+        # every node: one side doubled misses by 4.5e-14 at S = 7 and by 100% at the
+        # floor of S = 1e4, where the FFT rounding is not even in phi
+        np.testing.assert_allclose(tails[1:-1], oracle, rtol=1e-14, atol=0)

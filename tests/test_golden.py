@@ -52,9 +52,9 @@ DIGESTS = {
     "ber-table-closed-forms":
         "150e2118ed97b9a2a7bc832f7b4b83fc9ffe4289f34525d854ae7ff94dd015ed",
     "ber-table-csv":
-        "60d3efc4303f0681011a619a68aaeac258c4b65223fb2c291aacd58fc848a59c",
+        "52350c0daca7b611745b62b1f7ba41b264b99b412c6f91102d98a1612b09e65e",
     "ber-table-json":
-        "90435fbfac1a900b93eee901095fa4a3cf69731532504ee0f02be9c2071c593f",
+        "a643802db93a9b3a447ee9309b286b0b08b9d340802eacceb4b9b60e3cce618d",
     "decrypt-m32-alternating":
         "0e779645a0ed84119935dcb3a273fd0b5472dc94739393c26f332fb609423cd0",
     "decrypt-m32768-alternating":
@@ -80,7 +80,7 @@ DIGESTS = {
     "keyrate-p":
         "098eb2bfeb3187647102b72e48929b49da902d739fd48654b2dc6c688bccbe7f",
     "keyrate-s":
-        "293b5bc9cf0cfef6b6d6f7385b63194cabad329679afce4f96e735c6c52bcf77",
+        "e8a1c1359088ff54e5c6ccd63494e39fe1f3b4fa2aa6df33807f8310c668b093",
     "keyrate-s-het":
         "366a53b759f9ccda65f6576824d1d90b57338cec71a5d556ad8fd975ccec9fb3",
     "sim-heterodyne-hetdeferred":
@@ -88,25 +88,25 @@ DIGESTS = {
     "sim-heterodyne-hetdeferred-w2":
         "4cff31d44f023bfda44336a9ae3865367756ccab60825e19ceb3ad7385f2b1fc",
     "sim-homodyne-phasedeferred-plain":
-        "cc58ec359014257e29bbbe5fbc5d1193bc027c69a51bce59868748c6ff62a920",
+        "5d965e225c8bbabf40e3044895ff9d83b9ea2bd15c0c30e9ea8f9a21fc0de2bd",
     "sim-optimal":
         "7f30fa3ef9cb166bd20c55c811bceb72b024dc547b4e86aab19727ea150dabca",
     "sim-optimal-hetdeferred-plain":
         "515d97226a9d1ea6c05b811c39098274544e42325d9d86805f60e86d38202b47",
     "sim-phase-dsr":
-        "5650c920211a213c0c9d69cdd14b07fcfa77c4ff3b0266ddc9d69ff294d2485b",
+        "373b1b0e4e787a5fe3a5f7e8c98e40bf427b7acb3724d85099739b966ee5f5de",
     "sim-phase-nearest":
-        "f194b599dbf974b042f58cc2c4f4116fe6a6af9666b20d73eafb136e6faa6ed2",
+        "ec50f5c92f75f00890bd8ee413199bf34ecdd8818a3632e876d765ad64bf20bb",
     "sim-phase-nearest-dsr":
-        "4a5fb85e4890c8d88efffa25f11239b5f72c59241df48cd0aca7be16f996fc30",
+        "a37b0659c7e8e13434e98ee6b9da4579facca2b8479e7c97dee83ab0239997f4",
     "sim-phase-nearest-plain-w2":
-        "47d514198c3b02a574276abe0f5bcf2e5f333c80117c0f0cdf0ec607165776a9",
+        "ef4d8f128bdc9d42c23abf573615f084786873b069ffa42667c30e09aff0414c",
 }
 
 # name -> (bob errors, eve errors or None without an Eve) of every simulate case,
 # pinned apart from its digest: a re-recorded digest (the report's schema, or the
 # last digits of analytic_bob and analytic_eve) must not hide a change in the draws
-PHASE_TABLE_COUNTS = {
+SIM_ERROR_COUNTS = {
     "sim-optimal": (7, None),
     "sim-heterodyne-hetdeferred": (1567, 1577),
     "sim-heterodyne-hetdeferred-w2": (1567, 1577),
@@ -161,11 +161,11 @@ def test_simulate_estimates_cover_analytic_law(tmp_path, name):
         assert low <= doc[f"analytic_{who}"] <= high, who
 
 
-@pytest.mark.parametrize("name", sorted(PHASE_TABLE_COUNTS))
-def test_phase_table_cases_keep_their_error_counts(tmp_path, name):
+@pytest.mark.parametrize("name", sorted(SIM_ERROR_COUNTS))
+def test_simulate_cases_keep_their_error_counts(tmp_path, name):
     doc = json.loads(run_to_file(CASES[name], tmp_path / "out"))
     eve = doc["eve"] and doc["eve"]["errors"]
-    assert (doc["bob"]["errors"], eve) == PHASE_TABLE_COUNTS[name]
+    assert (doc["bob"]["errors"], eve) == SIM_ERROR_COUNTS[name]
 
 
 @pytest.mark.parametrize("m,mapping", CIPHERS)

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from alphaeta.cipher import Constellation, KeystreamGen, encode
-from alphaeta.fock import phase_cdf
+from alphaeta.fock import phase_grid, phase_tails
 from alphaeta.montecarlo import (
     BATCH_SIZE,
     BerEstimate,
@@ -19,7 +19,6 @@ from alphaeta.montecarlo import (
     nearest_point_table,
     offset_error_table,
     offset_histogram,
-    phase_grid,
     run_simulation,
     wilson_interval,
 )
@@ -188,7 +187,7 @@ class TestKeyedDecisionIdentity:
         j, m, k, sent_far = self._trials(m_count, d, 13)
         phi = sampler.sample(np.random.default_rng(14), self.N) + np.pi * j / m_count
         far = np.cos(phi - np.pi * m / m_count) < 0
-        self._assert_covers(offset_error_table("phase", s, m_count, sampler), k,
+        self._assert_covers(offset_error_table("phase", s, m_count, sampler.tails), k,
                             far != sent_far)
 
     @pytest.mark.parametrize("kind", ["heterodyne", "homodyne", "optimal"])
@@ -207,9 +206,9 @@ class TestKeyedDecisionIdentity:
     @pytest.mark.parametrize("s", [0.0, 0.3, 7.0, 100.0, 1000.0])
     @pytest.mark.parametrize("m_count", [1, 2, 32, 4096])
     def test_phase_table_is_far_half_plane_cdf_mass(self, s, m_count):
-        sampler = PhaseSampler(s, m_count)
-        table = offset_error_table("phase", s, m_count, sampler)
-        lo, width = half_planes(sampler, m_count)  # near side: (u - lo) mod 1 <= width
+        tails = PhaseSampler(s, m_count).tails
+        table = offset_error_table("phase", s, m_count, tails)
+        lo, width = half_planes(tails, m_count)  # near side: (u - lo) mod 1 <= width
         cos = np.cos(np.pi * np.arange(2 * m_count) / m_count)
         sided = np.abs(cos) > 1e-9  # a point on the axis line has no side
         far_mass = np.where(cos < 0, width, 1.0 - width)
@@ -227,7 +226,8 @@ class TestKeyedDecisionIdentity:
         rng = np.random.default_rng([17, m_count])
         j, b = rng.integers(0, 2 * m_count, self.N), rng.integers(0, 2, self.N)
         wrong = nearest_point_bits(sampler, np.random.default_rng(18), j, const) != b
-        self._assert_covers(nearest_point_table(sampler, const), b * 2 * m_count + j, wrong)
+        self._assert_covers(nearest_point_table(sampler.tails, const), b * 2 * m_count + j,
+                            wrong)
 
 
 class TestNearestPointTable:
@@ -238,7 +238,7 @@ class TestNearestPointTable:
         """The Helstrom measurement is the best of all, nearest-point snapping included.
         Without DSR each point j is sent with its own bit, j uniform."""
         const = Constellation(m_count, mapping)
-        table = nearest_point_table(PhaseSampler(s, m_count), const)
+        table = nearest_point_table(PhaseSampler(s, m_count).tails, const)
         j = np.arange(2 * m_count)
         law = np.mean(table[const.point_bit(j) * 2 * m_count + j])
         assert eve_nokey_helstrom(s, const) <= law + 1e-12
@@ -246,9 +246,9 @@ class TestNearestPointTable:
     @pytest.mark.parametrize("s", [0.0, 0.5, 7.0, 30.0, 1e4])
     def test_m1_is_the_keyed_phase_receiver(self, s):
         """At M = 1 the two points are the keyed pair: she errs as a phase Bob does."""
-        sampler = PhaseSampler(s, 1)
-        table = nearest_point_table(sampler, Constellation(1))
-        far = offset_error_table("phase", s, 1, sampler)[0]
+        tails = PhaseSampler(s, 1).tails
+        table = nearest_point_table(tails, Constellation(1))
+        far = offset_error_table("phase", s, 1, tails)[0]
         np.testing.assert_allclose(table, [far, 1 - far, 1 - far, far], rtol=0, atol=1e-15)
 
 
@@ -292,21 +292,6 @@ def mpmath_arc_masses(s, arcs):
         return [mass(a, b) for a, b in arcs]
 
 
-class FineGridCdf:
-    """The phase CDF of fock.phase_cdf on a 2^21-point grid, read as PhaseSampler
-    reads its own: a reference for the tables at large S and M."""
-
-    far_mass = PhaseSampler.far_mass
-
-    def __init__(self, s: float):
-        grid = 1 << 21
-        self._cdf = phase_cdf(s, grid)
-        self._edges = np.linspace(-np.pi, np.pi, grid // 2 + 1)
-
-    def cdf(self, phi):
-        return np.interp(phi, self._edges, self._cdf)
-
-
 class TestPhaseTables:
     @pytest.mark.parametrize("s", [0.0, 0.5, 7.0, 1e3, 1e4, 1e5])
     def test_phase_grid_rule(self, s):
@@ -328,11 +313,16 @@ class TestPhaseTables:
     @pytest.mark.parametrize("s", [0.0, 0.5, 2.0, 3.0, 7.0, 8.0])
     @pytest.mark.parametrize("m_count", [1, 32, 512])
     def test_axis_entry_is_the_scalar_law(self, s, m_count):
-        """Up to S = 1024 and M = 512 the tables and the scalar law share the
-        4096-point grid and Simpson's rule: they differ only in summation order."""
-        table = offset_error_table("phase", s, m_count, PhaseSampler(s, m_count))
-        assert table[0] == pytest.approx(canonical_phase_antipodal(s).exact,
-                                         rel=5e-15, abs=3e-16)
+        """Up to S = 1024 and M = 512 the tables and the scalar law read one tail
+        vector on the same 4096-point grid, so the axis entry is the law itself."""
+        table = offset_error_table("phase", s, m_count, PhaseSampler(s, m_count).tails)
+        assert table[0] == canonical_phase_antipodal(s).exact
+
+    @pytest.mark.parametrize("s", [0.0, 7.0, 1e3, 1e4, 1e5])
+    def test_scalar_law_is_the_m1_table(self, s):
+        """At every S the scalar law is the M = 1 table's entry: one grid, one tail."""
+        assert canonical_phase_antipodal(s).exact == offset_error_table(
+            "phase", s, 1, PhaseSampler(s, 1).tails)[0]
 
     @pytest.mark.parametrize("s", [2.0, 7.0])
     @pytest.mark.parametrize("mapping", ["alternating", "plain"])
@@ -344,7 +334,7 @@ class TestPhaseTables:
                                     for i in range(m_count // 2 + 1)])
         steps = np.arange(2 * m_count) % m_count
         oracle = np.array([float(x) for x in far])[np.minimum(steps, m_count - steps)]
-        np.testing.assert_allclose(offset_error_table("phase", s, m_count, sampler), oracle,
+        np.testing.assert_allclose(offset_error_table("phase", s, m_count, sampler.tails), oracle,
                                    rtol=0, atol=1e-10)
         # nearest-point: the pi/M arcs around the 2M points
         n = const.num_points
@@ -352,22 +342,25 @@ class TestPhaseTables:
                                      for i in range(n)])
         bit = const.point_bit(np.arange(n)).tolist()
         q = [float(mp.fsum(arcs[i] * bit[(j + i) % n] for i in range(n))) for j in range(n)]
-        np.testing.assert_allclose(nearest_point_table(sampler, const),
+        np.testing.assert_allclose(nearest_point_table(sampler.tails, const),
                                    q + [1.0 - x for x in q], rtol=0, atol=1e-10)
 
     @pytest.fixture(scope="class")
     def fine_1e4(self):
-        return FineGridCdf(1e4)
+        """The phase tails at S = 1e4 on a 2^21-point grid: a reference for the
+        tables at large S and M."""
+        return phase_tails(1e4, 1 << 21)
 
     @pytest.mark.parametrize("m_count", [512, 4096])
     def test_deployed_regime_matches_fine_grid(self, fine_1e4, m_count):
         s, const = 1e4, Constellation(m_count)
-        sampler = PhaseSampler(s, m_count)
-        np.testing.assert_allclose(offset_error_table("phase", s, m_count, sampler),
-                                   offset_error_table("phase", s, m_count, fine_1e4),
+        tails = PhaseSampler(s, m_count).tails
+        fine = fine_1e4[::(1 << 21) // (8 * m_count)]  # T at the same nodes k pi/2M
+        np.testing.assert_allclose(offset_error_table("phase", s, m_count, tails),
+                                   offset_error_table("phase", s, m_count, fine),
                                    rtol=0, atol=1e-6)
-        np.testing.assert_allclose(nearest_point_table(sampler, const),
-                                   nearest_point_table(fine_1e4, const), rtol=0, atol=1e-6)
+        np.testing.assert_allclose(nearest_point_table(tails, const),
+                                   nearest_point_table(fine, const), rtol=0, atol=1e-6)
 
 
 def _cfg(**kw):
@@ -418,9 +411,9 @@ class TestCountLevelDecisions:
         cfg = _cfg(s=1.0, m_bases=8, mapping=mapping, eve_strategy=eve, dsr_d=d, trials=self.N)
         sampler = PhaseSampler(cfg.s, cfg.m_bases)
         const = Constellation(cfg.m_bases, cfg.mapping)
-        tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler)
+        tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler.tails)
                   for kind in ("heterodyne", "phase")}
-        tables[None] = nearest_point_table(sampler, const)
+        tables[None] = nearest_point_table(sampler.tails, const)
         gen = KeystreamGen.from_hex(cfg.seed_key)
         nearest = eve == "nearest-point"
         count_level, per_trial = [], []
@@ -457,8 +450,8 @@ class TestCountLevelDecisions:
         """At M = 2^15 a batch draws its binomials on the occupied offset cells only;
         its counts, and the stream after each draw, are those of a draw over all 2M."""
         cfg = _cfg(s=3.0, m_bases=1 << 15, eve_strategy="phase-deferred", dsr_d=d)
-        sampler = PhaseSampler(cfg.s, cfg.m_bases)
-        tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, sampler)
+        tails = PhaseSampler(cfg.s, cfg.m_bases).tails
+        tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, tails)
                   for kind in ("heterodyne", "phase")}
         const = Constellation(cfg.m_bases, cfg.mapping)
         for batch in range(3):

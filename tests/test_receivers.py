@@ -17,7 +17,6 @@ from alphaeta.keyrate import key_rate_at_s
 from alphaeta.names import EVE_STRATEGIES, RECEIVER_KINDS
 from alphaeta.receivers import (
     BER_LAWS,
-    PHASE_LAW_GRID,
     _circulant_gram_spectrum,
     canonical_phase_antipodal,
     eve_nokey_helstrom,
@@ -99,18 +98,18 @@ class TestCanonicalPhase:
         assert canonical_phase_antipodal(7.0).asymptotic == pytest.approx(math.exp(-14), rel=1e-12)
 
     def test_takes_only_the_signal(self):
-        # the grid is fixed: no caller can pick one the Simpson weights do not fit
+        # the grid follows from S: no caller can pick one the Simpson weights do not fit
         assert list(inspect.signature(canonical_phase_antipodal).parameters) == ["s"]
-        assert PHASE_LAW_GRID % 4 == 0
 
     @pytest.mark.parametrize("s", [0.5, 2.0, 7.0, 20.0])
     def test_is_richardson_of_two_trapezoid_sums(self, s):
         # Simpson's rule on the far arc is (4 T_R - T_{R/2}) / 3, the trapezoid
-        # sums taken on every node and on every other node of the same grid
-        dens = phase_distribution(s, PHASE_LAW_GRID)
-        quarter = PHASE_LAW_GRID // 4
-        arc = np.concatenate((dens[3 * quarter:], dens[:quarter + 1]))
-        h = 2 * math.pi / PHASE_LAW_GRID
+        # sums taken on every node and on every other node of the same grid, the
+        # 4096 points of phase_grid(S, 1) up to S = 1024
+        grid = 4096
+        dens = phase_distribution(s, grid)
+        arc = np.concatenate((dens[3 * grid // 4:], dens[:grid // 4 + 1]))
+        h = 2 * math.pi / grid
 
         def trapezoid(nodes, step):
             return step * (math.fsum(nodes) - (nodes[0] + nodes[-1]) / 2)
@@ -162,13 +161,13 @@ def mpmath_grid_phase_ber(s, resolution, n_max=200):
 
 
 @pytest.mark.parametrize("s, golden", [
-    (0.5, 0.13012709382366322),
-    (1.75, 0.01813395823760777),
-    (2.0, 0.01268050061136084),
-    (3.0, 0.003209567204256635),
+    (0.5, 0.1301270938236632),
+    (1.75, 0.018133958237607745),
+    (2.0, 0.012680500611360834),
+    (3.0, 0.0032095672042566363),
     (4.0, 0.0008659387830626066),
-    (6.0, 7.141406208225571e-05),
-    (8.0, 6.6010426836341345e-06),
+    (6.0, 7.141406208225578e-05),
+    (8.0, 6.601042683634129e-06),
 ])
 def test_golden_phase_values_match_40_digit_grid_sum(s, golden):
     # the canonical-phase values pinned by the ber-table-csv, ber-table-json and

@@ -34,7 +34,8 @@ NOT_RUN = {
     ("fock.py", "hermitian_eigenvalues"):
         "tracer.py target of fock.hermitian_eigenvalues.busy_s and .max_dim",
     ("montecarlo.py", "PhaseSampler.sample"):
-        "tracer.py target of montecarlo.sample.draws, .busy_s and .overlap",
+        "tracer.py target of montecarlo.sample.draws, .busy_s and .overlap; simulate "
+        "reads PhaseSampler.tails and draws no phase",
 }
 
 CHILD = r"""
