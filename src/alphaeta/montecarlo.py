@@ -10,10 +10,12 @@ Every phase table is read from one PhaseSampler, the two-sided Simpson tail of
 the phase density (fock.phase_tails) at the table nodes k pi/2M, on a grid
 sized from S and M by fock.phase_grid; no caller picks a grid.
 
-k = (bit ^ polarity(m)) * M + dither is uniform over its cells whatever the
-basis m, so the keystream is drawn only for a nearest-point Eve, whose cells
-depend on it; in a keyed-only run seed_key does not affect the counts, but it
-is still validated and echoed in the report.
+cell_law is the one law of the cells: a run computes the keyed law once, its
+keyed-only batches draw their histograms from it, and analytic_bob and
+analytic_eve are cell_law @ table.  k = (bit ^ polarity(m)) * M + dither has
+that law whatever the basis m, so the keystream is drawn only for a
+nearest-point Eve, whose cells depend on it; in a keyed-only run seed_key does
+not affect the counts, but it is still validated and echoed in the report.
 
 Trials run in fixed batches of 65536, in batch order; batch i draws from an RNG
 stream keyed by (master_seed, i) and, with a nearest-point Eve, takes the
@@ -166,19 +168,9 @@ def nearest_point_table(tails: np.ndarray, const: Constellation) -> np.ndarray:
     return np.concatenate((q, 1.0 - q))
 
 
-def offset_histogram(rng: np.random.Generator, n: int, m_count: int, d: int) -> np.ndarray:
-    """Counts over k < 2M of the offsets k = (bit ^ polarity(m)) * M + dither mod 2M of
-    n keyed trials: one multinomial draw over the 2(2d+1) equally likely cells."""
-    dither = np.arange(-d, d + 1)
-    cells = np.concatenate((dither, dither + m_count)) % (2 * m_count)
-    hist = np.zeros(2 * m_count, dtype=np.int64)
-    hist[cells] = rng.multinomial(n, np.full(cells.size, 1.0 / cells.size))
-    return hist
-
-
-def analytic_ber(table: np.ndarray, const: Constellation, d: int) -> float:
-    """A receiver's error table averaged under the law the batches draw its cells from:
-    a table of 2M entries is over keyed offsets k, one of 4M over Eve's b * 2M + j.
+def cell_law(const: Constellation, d: int, size: int) -> np.ndarray:
+    """The probability of each cell of a receiver's error table: a table of 2M entries
+    is over keyed offsets k, one of 4M over Eve's b * 2M + j.
 
     The 2M(2d+1) (bit, basis, dither) triples are equally likely.  Undithered, (b, m)
     sends j = encode(b, m); a dither in [-d, d] then moves j, so a cell holds the
@@ -187,11 +179,11 @@ def analytic_ber(table: np.ndarray, const: Constellation, d: int) -> float:
     n, m_count = const.num_points, const.m_bases
     bits, bases = np.repeat([0, 1], m_count), np.tile(np.arange(m_count), 2)
     j = encode(bits, bases, const)
-    cells = (j - bases) % n if table.size == n else bits * n + j
-    undithered = np.bincount(cells, minlength=table.size).reshape(-1, n)
+    cells = (j - bases) % n if size == n else bits * n + j
+    undithered = np.bincount(cells, minlength=size).reshape(-1, n)
     sums = np.cumsum(undithered[:, np.arange(-d - 1, n + d) % n], axis=1)
     counts = (sums[:, 2 * d + 1:] - sums[:, :n]).ravel()
-    return float(counts @ table) / counts.sum()
+    return counts / counts.sum()
 
 
 def keyed_bases(gen: KeystreamGen, m_bases: int, count: int) -> np.ndarray:
@@ -209,12 +201,13 @@ def keyed_bases(gen: KeystreamGen, m_bases: int, count: int) -> np.ndarray:
     return out
 
 
-def _run_batch(cfg: SimConfig, const: Constellation, tables: dict, batch: int, n: int,
-               m: np.ndarray | None) -> tuple[int, int]:
+def _run_batch(cfg: SimConfig, const: Constellation, tables: dict, law: np.ndarray,
+               batch: int, n: int, m: np.ndarray | None) -> tuple[int, int]:
     """Bob's and Eve's error counts over the n trials of batch `batch`.
 
     Without a nearest-point Eve (m None) the batch's offset histogram is one
-    multinomial draw.  Otherwise m holds the keyed bases: the batch draws its bits
+    multinomial draw from `law`, the keyed cell law, over its occupied cells in
+    index order.  Otherwise m holds the keyed bases: the batch draws its bits
     and DSR dithers, sends j = encode(bit, m) + dither, and counts Bob's offsets
     k = (j - m) mod 2M and Eve's cells bit * 2M + j.  Bob's decisions come first,
     then Eve's.
@@ -222,7 +215,9 @@ def _run_batch(cfg: SimConfig, const: Constellation, tables: dict, batch: int, n
     m_count = cfg.m_bases
     rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
     if m is None:
-        hist = eve_hist = offset_histogram(rng, n, m_count, cfg.dsr_d)
+        occupied = np.flatnonzero(law)
+        hist = eve_hist = np.zeros(2 * m_count, dtype=np.int64)
+        hist[occupied] = rng.multinomial(n, law[occupied])
     else:
         bits = rng.integers(0, 2, size=n)
         j = encode(bits, m, const)
@@ -263,16 +258,18 @@ def run_simulation(cfg: SimConfig) -> TrialReport:
         tables[None] = nearest_point_table(tails, const)  # None: keyless Eve's table
     del tails  # the batches do not read it; its grid need not outlive the tables
     gen = KeystreamGen.from_hex(cfg.seed_key) if nearest else None
+    law = cell_law(const, cfg.dsr_d, 2 * cfg.m_bases)  # of the keyed offsets k
 
     bob_err = eve_err = 0
     for batch, lo in enumerate(range(0, cfg.trials, BATCH_SIZE)):
         n = min(BATCH_SIZE, cfg.trials - lo)
-        bob, eve = _run_batch(cfg, const, tables, batch, n,
+        bob, eve = _run_batch(cfg, const, tables, law, batch, n,
                               keyed_bases(gen, cfg.m_bases, n) if nearest else None)
         bob_err += bob
         eve_err += eve
 
     eve = BerEstimate.from_counts(eve_err, cfg.trials) if cfg.eve_strategy != "none" else None
+    eve_law = cell_law(const, cfg.dsr_d, 4 * cfg.m_bases) if nearest else law
     return TrialReport(cfg, BerEstimate.from_counts(bob_err, cfg.trials), eve,
-                       analytic_ber(tables[cfg.bob_receiver], const, cfg.dsr_d),
-                       analytic_ber(tables[eve_kind], const, cfg.dsr_d) if eve else None)
+                       float(law @ tables[cfg.bob_receiver]),
+                       float(eve_law @ tables[eve_kind]) if eve else None)

@@ -11,7 +11,9 @@ mixture.
 Only the phase law and the no-key bound, whose math needs them, import
 numpy and fock, so the closed-form laws, the receiver table and the signal
 grid load neither.  The phase law is one entry of fock.phase_tails, the
-tail vector that simulate's phase tables read.
+tail vector that simulate's phase tables read, and the no-key bound's Gram
+spectrum folds the squares of fock.coherent_amplitudes, the amplitudes that
+vector is built from: one Poisson law for both.
 """
 
 from __future__ import annotations
@@ -81,25 +83,20 @@ def canonical_phase_antipodal(s: float) -> BerLaw:
 
 
 def _circulant_gram_spectrum(s: float, n_points: int) -> np.ndarray:
-    """Eigenvalues of the Gram matrix of n_points coherent states on a circle (S > 0).
+    """Eigenvalues of the Gram matrix of n_points coherent states on a circle.
 
     <alpha_j|alpha_k> = exp(S(e^{2 pi i (k-j)/N} - 1)) is circulant with
     eigenvalues lambda_q = N * sum_{n = q mod N} e^{-S} S^n / n!, the Poisson
-    mass folded onto the residues mod N.  The Poisson terms are taken in the
-    log domain over the photon window; the terms below it underflow to exactly
-    0 and those above it are below 1e-160, so skipping them moves no lambda
-    that the 1e-32 support cut below keeps.
-    Each log term carries a rounding error of order ulp(S ln S); rescaling the
-    folded mass to its exact total of 1 keeps that from reaching p_e (4e-12
-    at S=1e4 without it).
+    mass folded onto the residues mod N: the squares of fock.coherent_amplitudes,
+    rescaled to their exact total of 1.  Against a 40-digit folded Poisson sum
+    every lambda above 1e-30 is within 3.5e-14 relative for S <= 1e5, N <= 1024.
     """
     import numpy as np
 
-    from .fock import log_poisson, photon_window
+    from .fock import coherent_amplitudes
 
-    photons = photon_window(s)
-    poisson = np.exp([log_poisson(s, n) for n in photons.tolist()])
-    folded = np.bincount(photons % n_points, weights=poisson, minlength=n_points)
+    photons, amps = coherent_amplitudes(s)
+    folded = np.bincount(photons % n_points, weights=amps ** 2, minlength=n_points)
     return n_points * folded / folded.sum()
 
 
@@ -126,14 +123,17 @@ def eve_nokey_helstrom(s: float, constellation: Constellation) -> float:
     25 sqrt(S) of them, so the cost grows like (sqrt S)^3 and stops growing
     with M once M exceeds about 13 sqrt(S).
 
-    An eavesdropper without the key can do no better than one who knows the
-    basis, so p_e is floored at the keyed Helstrom bound, which is also the
-    exact value at M = 1; below ~1e-16 the sum above is only rounding of 1/2.
+    At M = 1 the two points are the keyed pair itself, so p_e is the keyed
+    Helstrom bound in closed form.  At any M an eavesdropper without the key can
+    do no better than one who knows the basis, so p_e is floored at that bound;
+    below ~1e-16 the sum above is only rounding of 1/2.
     """
     import numpy as np
 
     if not math.isfinite(s) or s < 0:
         raise ValueError("signal photon number must be finite and >= 0")
+    if constellation.m_bases == 1:
+        return helstrom_pure_antipodal(s).exact
     n = constellation.num_points
     if s == 0.0:
         return 0.5  # only lambda_0 survives, and sum_j c_j = 0

@@ -14,11 +14,10 @@ from alphaeta.montecarlo import (
     PhaseSampler,
     SimConfig,
     _run_batch,
-    analytic_ber,
+    cell_law,
     keyed_bases,
     nearest_point_table,
     offset_error_table,
-    offset_histogram,
     run_simulation,
     wilson_interval,
 )
@@ -256,7 +255,7 @@ class TestAnalyticBer:
     @pytest.mark.parametrize("mapping", ["alternating", "plain"])
     @pytest.mark.parametrize("m_count,d", [(1, 0), (8, 0), (8, 3), (32, 15)])
     def test_is_the_mean_over_every_triple(self, m_count, d, mapping):
-        """The cumsum cell law gives a table's mean over the 2M(2d+1) equally likely
+        """cell_law @ table is a table's mean over the 2M(2d+1) equally likely
         (bit, basis, dither) triples, listed one by one: over the keyed offsets
         k = (j - m) mod 2M for a 2M-entry table, over (b, j) for a 4M-entry one."""
         const = Constellation(m_count, mapping)
@@ -266,8 +265,8 @@ class TestAnalyticBer:
         j = (encode(b, m, const) + dither) % n
         rng = np.random.default_rng(m_count + d)
         for table, cells in ((rng.random(n), (j - m) % n), (rng.random(2 * n), b * n + j)):
-            assert analytic_ber(table, const, d) == pytest.approx(np.mean(table[cells]),
-                                                                  rel=1e-13)
+            law = cell_law(const, d, table.size)
+            assert law @ table == pytest.approx(np.mean(table[cells]), rel=1e-13)
 
 
 def mpmath_arc_masses(s, arcs):
@@ -416,21 +415,24 @@ class TestCountLevelDecisions:
         tables[None] = nearest_point_table(sampler.tails, const)
         gen = KeystreamGen.from_hex(cfg.seed_key)
         nearest = eve == "nearest-point"
+        law = cell_law(const, d, 2 * cfg.m_bases)
         count_level, per_trial = [], []
-        hist = np.zeros(2 * cfg.m_bases, dtype=np.int64)
-        ref_hist = np.zeros_like(hist)
+        ref_hist = np.zeros(2 * cfg.m_bases, dtype=np.int64)
         for seed in range(self.SEEDS):
             run = replace(cfg, master_seed=seed)
             bases = keyed_bases(gen, cfg.m_bases, self.N) if nearest else None
-            count_level.append(_run_batch(run, const, tables, 0, self.N, bases))
+            count_level.append(_run_batch(run, const, tables, law, 0, self.N, bases))
             # batch 1: bits and dithers independent of the count-level batch's
             bob, eve_err, k = per_trial_errors(run, tables, 1,
                                                keyed_bases(gen, cfg.m_bases, self.N), sampler)
             per_trial.append((bob, eve_err))
-            hist += offset_histogram(np.random.default_rng(seed), self.N, cfg.m_bases, d)
             ref_hist += np.bincount(k, minlength=2 * cfg.m_bases)
-        self._assert_uniform_cells(hist, d)
         self._assert_uniform_cells(ref_hist, d)
+        # the law the count-level batches draw from: the reference's cells, each exactly
+        # 1 / (2(2d + 1))
+        cells = np.flatnonzero(law)
+        assert np.array_equal(cells, np.flatnonzero(ref_hist))
+        assert np.array_equal(law[cells], np.full(cells.size, 1.0 / cells.size))
 
         p_bob, p_eve = self._triple_rates(cfg, tables)
         cov = self.N * (np.mean(p_bob * p_eve) - np.mean(p_bob) * np.mean(p_eve))
@@ -454,13 +456,16 @@ class TestCountLevelDecisions:
         tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, tails)
                   for kind in ("heterodyne", "phase")}
         const = Constellation(cfg.m_bases, cfg.mapping)
+        law = cell_law(const, d, 2 * cfg.m_bases)
+        cells = np.flatnonzero(law)  # the batch's multinomial is over these, in order
         for batch in range(3):
             rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
-            hist = offset_histogram(rng, BATCH_SIZE, cfg.m_bases, d)
+            hist = np.zeros(2 * cfg.m_bases, dtype=np.int64)
+            hist[cells] = rng.multinomial(BATCH_SIZE, law[cells])
             all_cells = tuple(int(rng.binomial(hist, tables[kind]).sum())
                               for kind in ("heterodyne", "phase"))
             assert min(all_cells) > 0
-            assert _run_batch(cfg, const, tables, batch, BATCH_SIZE, None) == all_cells
+            assert _run_batch(cfg, const, tables, law, batch, BATCH_SIZE, None) == all_cells
 
             occupied = np.flatnonzero(hist)
             rng_all, rng_occupied = np.random.default_rng(batch), np.random.default_rng(batch)

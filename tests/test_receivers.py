@@ -1,3 +1,4 @@
+import functools
 import inspect
 import math
 
@@ -209,12 +210,26 @@ class TestEveDeferred:
                 key_rate_at_s(1.0, strategy, 1e9)
 
 
-def full_gram_spectrum(s, n_points):
-    """Folded Poisson spectrum summed over every n from 0 to S + 40 sqrt(S) + 60."""
-    n_max = int(math.ceil(s + 40.0 * math.sqrt(s) + 60.0))
-    poisson = np.exp([n * math.log(s) - s - math.lgamma(n + 1) for n in range(n_max + 1)])
-    folded = np.bincount(np.arange(n_max + 1) % n_points, weights=poisson, minlength=n_points)
-    return n_points * folded / folded.sum()
+@functools.lru_cache(maxsize=None)
+def mpmath_poisson(s):
+    """40-digit Poisson terms e^{-S} S^n / n! for n < S + 20 sqrt(S) + 40; the terms
+    after them sum to less than 1e-80."""
+    with mp.workdps(40):
+        s = mp.mpf(s)
+        terms, term = [], mp.exp(-s)
+        for k in range(int(s + 20 * mp.sqrt(s) + 40)):
+            terms.append(term)
+            term *= s / (k + 1)
+        return terms
+
+
+def mpmath_gram_spectrum(s, n_points):
+    """40-digit lambda_q = N * sum_{n = q mod N} e^{-S} S^n / n!, as mpf."""
+    with mp.workdps(40):
+        mass = [mp.mpf(0)] * n_points
+        for n, term in enumerate(mpmath_poisson(s)):
+            mass[n % n_points] += term
+        return [n_points * x for x in mass]
 
 
 def fock_state(s, phase):
@@ -228,7 +243,7 @@ def fock_state(s, phase):
 def dense_nokey_helstrom(s, const):
     """Reference no-key bound: the full N x N Hermitian H in the Gram basis, N = 2M."""
     n = const.num_points
-    sqrt_lam = np.sqrt(full_gram_spectrum(s, n))
+    sqrt_lam = np.sqrt(np.array(mpmath_gram_spectrum(s, n), dtype=float))
     weights = (1.0 - 2.0 * const.point_bit(np.arange(n))) / const.m_bases
     c_hat = np.fft.ifft(weights)
     q = np.arange(n)
@@ -241,18 +256,14 @@ def mpmath_nokey_helstrom(s, const):
     """40-digit no-key bound: mp.eighe on the Gram-basis H, Poisson mass summed exactly."""
     with mp.workdps(40):
         n = const.num_points
-        s = mp.mpf(s)
-        mass, term = [mp.mpf(0)] * n, mp.exp(-s)
-        for k in range(int(s + 20 * mp.sqrt(s) + 40)):
-            mass[k % n] += term
-            term *= s / (k + 1)
+        lam = mpmath_gram_spectrum(s, n)
         c = [mp.mpf(1 - 2 * const.point_bit(j)) / const.m_bases for j in range(n)]
         c_hat = [mp.fsum(c[j] * mp.expjpi(mp.mpf(2 * d * j) / n) for j in range(n)) / n
                  for d in range(n)]
         h = mp.matrix(n, n)
         for q in range(n):
             for r in range(n):
-                h[q, r] = n * mp.sqrt(mass[q] * mass[r]) * c_hat[(q - r) % n]
+                h[q, r] = mp.sqrt(lam[q] * lam[r]) * c_hat[(q - r) % n]
         eigs = mp.eighe(h, eigvals_only=True)
         return mp.mpf(1) / 2 - mp.fsum(abs(e) for e in eigs) / 4
 
@@ -292,10 +303,10 @@ class TestEveNokey:
             oracle = 0.5 - 0.25 * float(np.sum(np.abs(hermitian_eigenvalues(diff))))
             assert eve_nokey_helstrom(s, const) == pytest.approx(oracle, abs=1e-12)
 
-    @pytest.mark.parametrize("s", [0.5, 7.0, 100.0, 1e3, 1e4])
-    def test_m1_equals_helstrom_closed_form(self, s):
-        p = eve_nokey_helstrom(s, Constellation(1))
-        assert p == pytest.approx(helstrom_pure_antipodal(s).exact, abs=1e-12)
+    @pytest.mark.parametrize("s", [0.0, 0.5, 7.0, 30.0, 100.0, 400.0, 1e4])
+    def test_m1_is_the_helstrom_closed_form(self, s):
+        # the 2-point mixture is the keyed pair itself: no rounding of 1/2 - 1/2 sum sigma
+        assert eve_nokey_helstrom(s, Constellation(1)) == helstrom_pure_antipodal(s).exact
 
     @pytest.mark.parametrize("mapping", ["alternating", "plain"])
     @pytest.mark.parametrize("m", [1, 2, 4, 64])
@@ -311,11 +322,12 @@ class TestEveNokey:
         assert 0.0 <= p64 <= p256 <= 0.5
 
     @pytest.mark.parametrize("s", [0.5, 7.0, 100.0, 1e3, 1e4, 1e5])
-    def test_windowed_spectrum_equals_the_full_sum(self, s):
-        # the terms below S - 40 sqrt(S) - 60 underflow to 0, so skipping them changes no bit
+    def test_spectrum_matches_the_40_digit_folded_poisson(self, s):
         for n_points in (2, 16, 128, 1024):
-            assert np.array_equal(_circulant_gram_spectrum(s, n_points),
-                                  full_gram_spectrum(s, n_points))
+            exact = np.array(mpmath_gram_spectrum(s, n_points), dtype=float)
+            keep = exact > 1e-30
+            rel = np.abs(_circulant_gram_spectrum(s, n_points)[keep] / exact[keep] - 1.0)
+            assert rel.max() <= 2e-13, n_points
 
     @pytest.mark.parametrize("mapping", ["alternating", "plain"])
     @pytest.mark.parametrize("s", [0.5, 7.0, 100.0, 1e3, 1e4])
