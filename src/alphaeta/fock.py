@@ -4,8 +4,8 @@ Every amplitude of |sqrt(S)> outside n in S -+ (40 sqrt(S) + 60) is below
 1e-80, so that window is the whole state at any S.  coherent_amplitudes is
 the one Poisson law: the phase density and the no-key Gram spectrum both read
 it.  phase_tails is the one vector that the phase law and every phase table
-read.  The density-matrix
-helpers are the dense reference that the no-key bound is tested against.
+read.  The density-matrix helpers are the dense reference that the no-key
+bound is tested against.
 """
 
 from __future__ import annotations

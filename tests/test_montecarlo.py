@@ -251,7 +251,7 @@ class TestNearestPointTable:
         np.testing.assert_allclose(table, [far, 1 - far, 1 - far, far], rtol=0, atol=1e-15)
 
 
-class TestAnalyticBer:
+class TestCellLaw:
     @pytest.mark.parametrize("mapping", ["alternating", "plain"])
     @pytest.mark.parametrize("m_count,d", [(1, 0), (8, 0), (8, 3), (32, 15)])
     def test_is_the_mean_over_every_triple(self, m_count, d, mapping):
@@ -448,24 +448,38 @@ class TestCountLevelDecisions:
             assert stats.levene(a, b).pvalue >= self.ALPHA
 
     @pytest.mark.parametrize("d", [0, 5])
-    def test_occupied_cells_give_the_all_cells_counts(self, d):
+    def test_occupied_cells_give_the_all_cells_counts(self, d, monkeypatch):
         """At M = 2^15 a batch draws its binomials on the occupied offset cells only;
-        its counts, and the stream after each draw, are those of a draw over all 2M."""
+        its counts, and the stream after each draw, are those of a draw over all 2M.
+        The batch's generator records the histogram it draws and its state after it."""
         cfg = _cfg(s=3.0, m_bases=1 << 15, eve_strategy="phase-deferred", dsr_d=d)
         tails = PhaseSampler(cfg.s, cfg.m_bases).tails
         tables = {kind: offset_error_table(kind, cfg.s, cfg.m_bases, tails)
                   for kind in ("heterodyne", "phase")}
         const = Constellation(cfg.m_bases, cfg.mapping)
         law = cell_law(const, d, 2 * cfg.m_bases)
-        cells = np.flatnonzero(law)  # the batch's multinomial is over these, in order
+        drawn = []
+
+        class Recording(np.random.Generator):
+            def multinomial(self, n, pvals, size=None):
+                counts = super().multinomial(n, pvals, size)
+                drawn.append((counts, self.bit_generator.state))
+                return counts
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Recording(np.random.PCG64(seed)))
         for batch in range(3):
-            rng = np.random.default_rng(np.random.SeedSequence([cfg.master_seed, batch]))
+            counts = _run_batch(cfg, const, tables, law, batch, BATCH_SIZE, None)
+            [(occupied_counts, state)] = drawn  # one multinomial a batch
+            drawn.clear()
             hist = np.zeros(2 * cfg.m_bases, dtype=np.int64)
-            hist[cells] = rng.multinomial(BATCH_SIZE, law[cells])
+            hist[np.flatnonzero(law)] = occupied_counts
+            rng = np.random.Generator(np.random.PCG64())
+            rng.bit_generator.state = state
             all_cells = tuple(int(rng.binomial(hist, tables[kind]).sum())
                               for kind in ("heterodyne", "phase"))
             assert min(all_cells) > 0
-            assert _run_batch(cfg, const, tables, law, batch, BATCH_SIZE, None) == all_cells
+            assert counts == all_cells
 
             occupied = np.flatnonzero(hist)
             rng_all, rng_occupied = np.random.default_rng(batch), np.random.default_rng(batch)
