@@ -22,7 +22,7 @@ import re
 from collections import deque
 from functools import lru_cache
 
-from .names import MAPPINGS
+from .names import MAPPINGS, MAX_M
 
 DEFAULT_DEGREE = 32
 DEFAULT_TAPS = (32, 22, 2, 1)  # maximal-length polynomial x^32+x^22+x^2+x+1
@@ -199,6 +199,8 @@ class KeystreamGen:
 
 def _lane_bytes(c: Constellation) -> int:
     """Bytes per lane of the chunk codec: 1 while the 2M points fit in a byte, else 2."""
+    if c.m_bases > MAX_M:
+        raise ValueError(f"M must be <= {MAX_M}: the ciphertext stores point indices as u16")
     return 1 if c.num_points <= 256 else 2
 
 
@@ -243,8 +245,6 @@ def _basis_planes(gen: KeystreamGen, c: Constellation, groups: int, q: int) -> l
     """Bases of the next 8 * groups symbols, each log2(M) keystream bits read big-endian,
     as 8 planes: lane g of plane f (q bytes) holds the basis of symbol 8g + f."""
     k = c.basis_bits
-    if k == 0:
-        return [0] * 8
     stream = gen.bits(8 * groups * k)
     ones = _lane_ones(groups, q)
     columns = [_lanes(q, stream[e::k].translate(_REVERSED)) for e in range(k)]

@@ -34,12 +34,11 @@ import struct
 import sys
 from functools import partial
 
-from .names import EVE_STRATEGIES, KEYRATE_EVE_STRATEGIES, MAPPINGS, RECEIVER_KINDS
+from .names import EVE_STRATEGIES, KEYRATE_EVE_STRATEGIES, MAPPINGS, MAX_M, RECEIVER_KINDS
 
 MAGIC = b"Y00STRM1"
 FORMAT_VERSION = 1
 HEADER = struct.Struct("<8sHHB3s")  # magic, version, M, mapping code, reserved
-MAX_M = 1 << 15  # the 2M point indices must fit the u16 body
 MAPPING_CODES = {"alternating": 0, "plain": 1}
 MAPPING_NAMES = {v: k for k, v in MAPPING_CODES.items()}
 CHUNK_BYTES = 1 << 14  # plaintext bytes encrypted or decrypted per read
@@ -322,18 +321,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _config_path(argv: list[str]) -> str | None:
-    """The file of the last --config FILE or --config=FILE, read as argparse reads
-    it: also under a prefix such as --conf, as no other flag starts with --c."""
-    path = None
-    for i, arg in enumerate(argv):
-        flag, eq, value = arg.partition("=")
-        if len(flag) < 3 or not "--config".startswith(flag):
-            continue
-        if eq:
-            path = value
-        elif i + 1 < len(argv):
-            path = argv[i + 1]
-    return path  # None also when the value is missing: argparse reports that
+    """The file of the last --config FILE or --config=FILE, read by argparse itself,
+    so a prefix such as --conf counts too (no other flag starts with --c).
+
+    None without --config, or when its value is missing: the full parse reports that.
+    """
+    pre = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    pre.add_argument("--config")
+    try:
+        return pre.parse_known_args(argv)[0].config
+    except argparse.ArgumentError:
+        return None
 
 
 def _apply_config_file(argv: list[str], subparsers) -> None:
@@ -360,17 +358,11 @@ def _apply_config_file(argv: list[str], subparsers) -> None:
         if dest not in known or dest in ("func", "config", "help"):
             raise UsageError(f"config line {lineno}: unknown key {key.strip()!r}")
         action = known[dest]
-        value = value.strip()
-        if action.type is not None:
-            try:
-                value = action.type(value)
-            except ValueError:
-                raise UsageError(f"config line {lineno}: invalid {key.strip()} "
-                                 f"value {value!r}") from None
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(f"config line {lineno}: {key.strip()} must be one of "
-                             f"{', '.join(map(str, action.choices))}, got {value!r}")
-        defaults[dest] = value
+        try:  # the flag's own type and choices; not _get_values, which drops a "--"
+            defaults[dest] = sp._get_value(action, value.strip())
+            sp._check_value(action, defaults[dest])
+        except argparse.ArgumentError as exc:
+            raise UsageError(f"config line {lineno}: {exc}") from None
         action.required = False  # a config value satisfies a required flag
     sp.set_defaults(**defaults)
 

@@ -190,8 +190,6 @@ def keyed_bases(gen: KeystreamGen, m_bases: int, count: int) -> np.ndarray:
     """Next count basis indices, each log2(M) keystream bits read big-endian; as
     uint16 up to M = 2^16 (faster than int64), so callers promote before arithmetic."""
     k = Constellation(m_bases).basis_bits  # raises unless M is a power of two
-    if k == 0:
-        return np.zeros(count, dtype=np.uint16)
     bits = np.unpackbits(np.frombuffer(gen.bits(count * k), dtype=np.uint8), count=count * k,
                          bitorder="little").reshape(count, k)
     out = np.zeros(count, dtype=np.uint16 if k <= 16 else np.int64)

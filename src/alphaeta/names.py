@@ -1,9 +1,11 @@
 """The names the CLI offers as choices, in a module that needs only the standard library.
 
 cipher, receivers and keyrate import their tables from here, so each list of
-names is defined once and the CLI can build its parser without loading numpy
-or any engine.
+names (and the largest M of the ciphertext body) is defined once and the CLI
+can check its flags without loading numpy or any engine.
 """
+
+MAX_M = 1 << 15  # the 2M point indices of the ciphertext body must fit a u16
 
 MAPPINGS = ("alternating", "plain")
 

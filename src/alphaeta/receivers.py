@@ -123,10 +123,12 @@ def eve_nokey_helstrom(s: float, constellation: Constellation) -> float:
     25 sqrt(S) of them, so the cost grows like (sqrt S)^3 and stops growing
     with M once M exceeds about 13 sqrt(S).
 
-    At M = 1 the two points are the keyed pair itself, so p_e is the keyed
-    Helstrom bound in closed form.  At any M an eavesdropper without the key can
-    do no better than one who knows the basis, so p_e is floored at that bound;
-    below ~1e-16 the sum above is only rounding of 1/2.
+    At S = 0 only lambda_0 survives, so B is 1 x 0, has no singular values, and
+    p_e is exactly 1/2; 1/2 - 1/2 * sum sigma never exceeds 1/2.  At M = 1 the
+    two points are the keyed pair itself, so p_e is the keyed Helstrom bound in
+    closed form.  At any M an eavesdropper without the key can do no better than
+    one who knows the basis, so p_e is floored at that bound; below ~1e-16 the
+    sum above is only rounding of 1/2.
     """
     import numpy as np
 
@@ -135,8 +137,6 @@ def eve_nokey_helstrom(s: float, constellation: Constellation) -> float:
     if constellation.m_bases == 1:
         return helstrom_pure_antipodal(s).exact
     n = constellation.num_points
-    if s == 0.0:
-        return 0.5  # only lambda_0 survives, and sum_j c_j = 0
     lam = _circulant_gram_spectrum(s, n)
     weights = (1.0 - 2.0 * constellation.point_bit(np.arange(n))) / constellation.m_bases
     lag = np.arange(1 - n, n)
@@ -148,7 +148,7 @@ def eve_nokey_helstrom(s: float, constellation: Constellation) -> float:
     block *= np.sqrt(lam[even])[:, None]
     block *= np.sqrt(lam[odd])
     p_e = 0.5 - 0.5 * float(np.sum(np.linalg.svd(block, compute_uv=False)))
-    return min(max(p_e, helstrom_pure_antipodal(s).exact), 0.5)
+    return max(p_e, helstrom_pure_antipodal(s).exact)
 
 
 def signal_grid(s_min: float, s_max: float, steps: int) -> list[float]:

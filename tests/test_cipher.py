@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from alphaeta.cipher import (
     MAPPINGS,
+    MAX_M,
     Constellation,
     KeystreamGen,
     decode_lenient,
@@ -228,6 +229,17 @@ class TestChunkCodec:
         got = decrypt_chunk(generator(), c, points.astype("<u2").tobytes())
         want = [decode_lenient(int(j), a, c) for j, a in zip(points, bases)]
         assert np.unpackbits(np.frombuffer(got, np.uint8)).tolist() == want
+
+    @pytest.mark.parametrize("chunk", [encrypt_chunk, decrypt_chunk])
+    def test_m_beyond_u16_body_raises(self, chunk):
+        """At M = 2^16 a lane's bit 16 would spill into the next lane, so the
+        codec refuses M > MAX_M itself, before it reads any keystream."""
+        gen = KeystreamGen.from_hex("c0ffee")
+        data = np.random.default_rng(5).bytes(64)
+        with pytest.raises(ValueError, match=str(MAX_M)):
+            chunk(gen, Constellation(2 * MAX_M), data)
+        assert chunk(gen, Constellation(MAX_M), data) == chunk(
+            KeystreamGen.from_hex("c0ffee"), Constellation(MAX_M), data)
 
     @pytest.mark.parametrize("m", [1, 32, 128, 256, 1 << 14])
     @pytest.mark.parametrize("lane", [0, 11, 23])

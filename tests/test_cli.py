@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 import alphaeta
 from alphaeta import cipher, keyrate, montecarlo, names
-from alphaeta.cipher import MAPPINGS, Constellation
-from alphaeta.cli import CHUNK_BYTES, MAX_M, build_parser, main
+from alphaeta.cipher import MAPPINGS, MAX_M, Constellation
+from alphaeta.cli import CHUNK_BYTES, build_parser, main
 from alphaeta.keyrate import KEYRATE_EVE_STRATEGIES, key_rate_at_s
 from alphaeta.names import EVE_STRATEGIES, RECEIVER_KINDS
 from alphaeta.receivers import BER_LAWS
@@ -439,6 +439,21 @@ class TestEncryptDecrypt:
                           str(tmp_path / "x.bin"), "--seed-key", "1", "--m", "16")
         assert code == 2
 
+    @pytest.mark.parametrize("flag, header", [(["--m", "16"], "M=32"),
+                                              (["--mapping", "plain"], "header alternating")])
+    def test_header_conflict_names_the_header_and_leaves_output(self, tmp_path, capsys,
+                                                                flag, header):
+        _, ct, rt = self._roundtrip(tmp_path, 64)
+        before = rt.read_bytes()
+        capsys.readouterr()
+        code, out = run_cli("decrypt", "--input", str(ct), "--output", str(rt),
+                            "--seed-key", "c0ffee11", *flag)
+        err = capsys.readouterr().err
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag[0]} {flag[1]} conflicts with ")
+        assert header in err and err.count("\n") == 1
+        assert rt.read_bytes() == before
+
     # (name, ciphertext mutation, message fragment) for a three-chunk M=32 file
     BAD_CIPHERTEXTS = [
         ("magic", lambda b: b"X" + b[1:], "bad magic"),
@@ -545,6 +560,16 @@ class TestConfigFile:
         assert out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: config line 3:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line, flag", [("trials=abc", "--trials"), ("bob=xml", "--bob")])
+    def test_bad_value_names_the_line_and_the_flag(self, tmp_path, capsys, line, flag):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"s=1\n{line}\n")
+        code, out = run_cli("simulate", "--config", str(cfg))
+        assert (code, out) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config line 2: argument {flag}: ")
+        assert repr(line.partition("=")[2]) in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("problem", ["missing", "directory", "not-utf8"])
     def test_unreadable_file_is_usage_error(self, tmp_path, capsys, problem):

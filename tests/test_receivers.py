@@ -15,7 +15,7 @@ from alphaeta.fock import (
     pure_density,
 )
 from alphaeta.keyrate import key_rate_at_s
-from alphaeta.names import EVE_STRATEGIES, RECEIVER_KINDS
+from alphaeta.names import EVE_STRATEGIES, MAPPINGS, RECEIVER_KINDS
 from alphaeta.receivers import (
     BER_LAWS,
     _circulant_gram_spectrum,
@@ -271,6 +271,19 @@ def mpmath_nokey_helstrom(s, const):
 class TestEveNokey:
     def test_s0_any_m(self):
         assert eve_nokey_helstrom(0.0, Constellation(8)) == pytest.approx(0.5, abs=1e-10)
+
+    @pytest.mark.parametrize("mapping", MAPPINGS)
+    @pytest.mark.parametrize("m", [2, 8, 1024, 4096])
+    def test_s0_is_exactly_one_half(self, m, mapping):
+        # only lambda_0 survives: the even x odd block is 1 x 0 and has no singular values
+        assert eve_nokey_helstrom(0.0, Constellation(m, mapping)) == 0.5
+
+    def test_deployed_regime_sits_just_below_the_two_defect_ceiling(self):
+        """The alternating mapping leaves two pairs of same-bit neighbours on the
+        circle; once Eve's phase noise spans many points, only they inform her and
+        p_e tends to 1/2 - 1/(2M) from below."""
+        ceiling = 0.5 - 1.0 / (2 * 4096)
+        assert ceiling - 1e-6 <= eve_nokey_helstrom(1e4, Constellation(4096)) < ceiling
 
     def test_nondecreasing_in_m_and_bounded(self):
         s = 7.0
